@@ -172,7 +172,8 @@ def cmd_delay(args, scenario) -> Emission:
 
 def cmd_compare(args, scenario) -> Emission:
     mode = _resolve_mode(args, scenario)
-    schemes = compare_schemes(scenario, mode, weights=_parse_weights(args))
+    plan = plan_scenario(scenario, mode, weights=_parse_weights(args))
+    schemes = compare_schemes(scenario, plan)
     improvements = improvement_rows(schemes)
     payload = {
         "digest": scenario_digest(scenario),
@@ -285,7 +286,8 @@ def cmd_calibrate(args, scenario) -> Emission:
                                                      scenario.locations, case, minutes))
     rates = calibrate_rates(observations)
     recalibrated = replace(scenario, rates=rates)
-    schemes = compare_schemes(recalibrated, mode, weights=_parse_weights(args))
+    # Placement ignores link rates, so the edge plan holds for the new rates too.
+    schemes = compare_schemes(recalibrated, edge_plan)
     payload = {
         "digest": scenario_digest(scenario),
         "observations": specs,

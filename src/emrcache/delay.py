@@ -14,11 +14,14 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import sample_sums
 from .placement import AllocationPlan, PlacementMode, plan_scenario
 from .records import RecordSet, VideoMode, full_emr_size, subset_size
 
 PROBABILITY_EPS = 1e-9
+# One seed stream is spawned per partition; this caps what a config may ask for.
+MAX_PARTITIONS = 4096
+# `Generator.multinomial` takes its draw count as a signed 64-bit integer.
+MAX_SAMPLES = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -223,14 +226,18 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.samples <= 0:
             raise ValueError("samples must be positive")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be <= {MAX_SAMPLES} (MAX_SAMPLES)")
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
+        if self.partitions > MAX_PARTITIONS:
+            raise ValueError(f"partitions must be <= {MAX_PARTITIONS} (MAX_PARTITIONS)")
         if self.dwell_rates is not None:
             rates = tuple(float(r) for r in self.dwell_rates)
-            if any(r < 0 for r in rates) or sum(rates) <= 0:
-                raise ValueError("dwell rates must be >= 0 and sum to > 0")
+            if any(r < 0 for r in rates) or not 0 < sum(rates) < math.inf:
+                raise ValueError("dwell rates must be >= 0 and sum to a finite value > 0")
             object.__setattr__(self, "dwell_rates", rates)
 
 
@@ -253,8 +260,12 @@ def monte_carlo_delay(plan: AllocationPlan, config: MonteCarloConfig, locations,
     """Seeded sampling estimate of the expected delay for one case.
 
     Each draw picks a location from the dwell weights and accrues that
-    location's delay term. The sample budget is split across independent
-    child streams spawned from the seed, so the result is reproducible for a
+    location's delay term. The estimator needs only how many draws land on
+    each location, and those counts are Multinomial(samples, weights), so
+    they are drawn directly: time and memory are O(locations) whatever the
+    sample count. The sample budget is split across independent child
+    streams spawned from the seed, one multinomial draw over the
+    positive-weight locations each, so the result is reproducible for a
     fixed (seed, samples, partitions) triple regardless of how partitions
     are evaluated.
     """
@@ -267,23 +278,20 @@ def monte_carlo_delay(plan: AllocationPlan, config: MonteCarloConfig, locations,
         weights = np.array(config.dwell_rates, dtype=float)
         if len(weights) != len(terms):
             raise ValueError("dwell_rates length must match the location count")
-    cum = np.cumsum(weights / weights.sum())
+    # `multinomial` hands the last category whatever probability rounding
+    # leaves over, so zero-weight locations stay out of the draw.
+    positive = weights > 0
+    terms = terms[positive]
+    pvals = weights[positive] / weights[positive].sum()
+    counts = np.zeros(len(terms), dtype=np.int64)
     children = np.random.SeedSequence(config.seed).spawn(config.partitions)
-    total = 0.0
-    total_sq = 0.0
     for count, child in zip(_partition_counts(config.samples, config.partitions), children):
-        if count == 0:
-            continue
-        u = np.random.default_rng(child).random(count)
-        part_sum, part_sq = sample_sums(u, cum, terms)
-        total += part_sum
-        total_sq += part_sq
+        counts += np.random.default_rng(child).multinomial(count, pvals)
     n = config.samples
-    mean = total / n
-    if n > 1:
-        variance = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    else:
-        variance = 0.0
+    # Shifting by one term keeps equal terms exact, so their variance is 0.
+    shift = float(terms[0])
+    mean = shift + float(counts @ (terms - shift)) / n
+    variance = float(counts @ (terms - mean) ** 2) / (n - 1) if n > 1 else 0.0
     return MonteCarloResult(mean, math.sqrt(variance / n), n, config.seed, config.partitions)
 
 

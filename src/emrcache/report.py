@@ -61,9 +61,9 @@ class RunReport:
     divergences: tuple  # of (device id, published subset, chosen subset)
 
 
-def compare_schemes(scenario: EdgeScenario, mode: PlacementMode, weights=None) -> dict:
-    """Delay reports for the edge-cached, conventional-cache and no-edge schemes."""
-    plan = plan_scenario(scenario, mode, weights=weights)
+def compare_schemes(scenario: EdgeScenario, plan: AllocationPlan) -> dict:
+    """Delay reports for the edge-cached scheme under `plan`, and for the
+    conventional-cache and no-edge schemes."""
     edge = expected_delay(plan, scenario.locations, scenario.rates, scheme=SCHEME_EDGE)
     femto = femtocache_delay(scenario)
     base = baseline_delay(scenario.demand, scenario.records, scenario.locations,
@@ -96,7 +96,7 @@ def sharing_summary(scenario: EdgeScenario) -> SharingSummary:
 
 def build_report(scenario: EdgeScenario, mode: PlacementMode, weights=None) -> RunReport:
     plan = plan_scenario(scenario, mode, weights=weights)
-    schemes = compare_schemes(scenario, mode, weights=weights)
+    schemes = compare_schemes(scenario, plan)
     divergences = ()
     if mode is not PlacementMode.REFERENCE and matches_reference_layout(scenario):
         divergences = tuple(reference_divergences(plan))

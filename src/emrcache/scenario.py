@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .delay import DEFAULT_RATES, DemandProfile, LinkRates
@@ -299,14 +300,28 @@ def scenario_to_dict(scenario: EdgeScenario) -> dict:
     }
 
 
+def _finite_float(token: str) -> float:
+    """JSON number hook: reject NaN, Infinity and literals beyond the float range."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"number {token} is not a finite float")
+    return value
+
+
+def _finite_int(token: str) -> int:
+    _finite_float(token)
+    return int(token)
+
+
 def load_scenario(path_or_name) -> EdgeScenario:
     """Load a scenario file; the name 'paper' selects the built-in scenario."""
     if path_or_name == "paper":
         return reference_scenario()
     with open(path_or_name) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            data = json.load(fh, parse_float=_finite_float, parse_int=_finite_int,
+                             parse_constant=_finite_float)
+        except ValueError as exc:
             raise ScenarioError(f"parse error in {path_or_name}: {exc}") from exc
     return scenario_from_dict(data)
 

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _EPS = 1e-9
+# Largest capacity grid a sweep builds; each point is one output row.
+MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,17 @@ def scenario_capacity(devices, policy: SharingPolicy, count_hosts: bool = False)
 def capacity_sweep(min_gb: float, max_gb: float, step_gb: float,
                    policy: SharingPolicy) -> list:
     """(capacity, patients) along an inclusive grid, for plotting growth."""
+    if not all(math.isfinite(x) for x in (min_gb, max_gb, step_gb)):
+        raise ValueError("sweep bounds and step must be finite")
     if step_gb <= 0:
         raise ValueError("sweep step must be positive")
     if min_gb > max_gb:
         raise ValueError("sweep min exceeds max")
+    # np.arange makes ceil(span) points; check that before building them.
+    span = (max_gb + step_gb * 0.5 - min_gb) / step_gb
+    if span > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid exceeds the limit of {MAX_SWEEP_POINTS} points "
+                         f"(MAX_SWEEP_POINTS); use a larger step")
     capacities = np.arange(min_gb, max_gb + step_gb * 0.5, step_gb)
     leftover = capacities - policy.host_requirement_gb
     counts = np.where(capacities + _EPS < policy.host_requirement_gb, 0,

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from emrcache.cli import main
+from emrcache.delay import MAX_PARTITIONS
+from emrcache.sharing import MAX_SWEEP_POINTS
 
 
 def _run(capsys, *argv):
@@ -132,6 +134,27 @@ def test_exit_code_2_for_invalid_scenario(tmp_path, capsys):
     code, _, err = _run(capsys, "compare", "--scenario", str(path))
     assert code == 2
     assert "dwell_hours sum" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_non_finite_numbers_are_rejected_at_load(tmp_path, capsys, token):
+    path = tmp_path / "nonfinite.json"
+    path.write_text('{"records": {"text_gb": %s}}' % token)
+    code, out, err = _run(capsys, "delay", "--scheme", "baseline", "--scenario", str(path))
+    assert code == 2
+    assert f"number {token} is not a finite float" in err
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
+def test_size_limits_exit_2_and_name_the_limit(capsys):
+    code, _, err = _run(capsys, "sweep", "--min-gb", "0",
+                        "--max-gb", str(MAX_SWEEP_POINTS), "--step-gb", "1")
+    assert code == 2
+    assert f"limit of {MAX_SWEEP_POINTS} points (MAX_SWEEP_POINTS)" in err
+    code, _, err = _run(capsys, "delay", "--monte-carlo", "--partitions",
+                        str(MAX_PARTITIONS + 1))
+    assert code == 2
+    assert f"<= {MAX_PARTITIONS} (MAX_PARTITIONS)" in err
 
 
 def test_exit_code_3_for_missing_scenario(capsys):

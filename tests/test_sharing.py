@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import pytest
 
 from emrcache.scenario import reference_scenario
 from emrcache.sharing import (
+    MAX_SWEEP_POINTS,
     SharingPolicy,
     capacity_sweep,
     patients_served,
@@ -69,6 +73,24 @@ def test_sweep_validation():
         capacity_sweep(10.0, 5.0, 1.0, policy)
     with pytest.raises(ValueError):
         capacity_sweep(0.0, 10.0, 0.0, policy)
+    for bounds in ((0.0, math.inf, 1.0), (math.nan, 10.0, 1.0), (0.0, 10.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            capacity_sweep(*bounds, policy)
+
+
+def test_sweep_grid_above_the_limit_is_rejected_before_it_is_built():
+    policy = SharingPolicy()
+    # 0, 1, ..., MAX_SWEEP_POINTS is one point more than the limit allows,
+    # and the second grid's span overflows a float.
+    tracemalloc.start()
+    try:
+        for bounds in ((0.0, float(MAX_SWEEP_POINTS), 1.0), (-1e308, 1e308, 1.0)):
+            with pytest.raises(ValueError, match="MAX_SWEEP_POINTS"):
+                capacity_sweep(*bounds, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_policy_validation():
