@@ -6,9 +6,7 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv as csv_mod
-import io
-import json
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -19,6 +17,7 @@ from .delay import (
     baseline_observation,
     calibrate_rates,
     expected_delay,
+    femtocache_plan,
     monte_carlo_delay,
     plan_observation,
     poisson_partial_sums,
@@ -29,26 +28,38 @@ from .dvs import (
     event_volume,
     frame_volume,
 )
-from .placement import PlacementMode, plan_scenario, reference_divergences
-from .records import VideoMode, subset_label
+from .placement import PlacementMode, plan_scenario
 from .report import (
-    SCHEME_BASELINE,
+    CASE_HEADERS,
+    IMPROVEMENT_HEADERS,
+    PLAN_HEADERS,
     SCHEME_EDGE,
     SCHEME_FEMTO,
+    SCHEME_HEADERS,
+    SHARING_HEADERS,
     build_report,
     compare_schemes,
+    csv_text,
+    delay_cases_to_rows,
     delay_report_to_dict,
-    ensure_out_dir,
+    divergences_to_dicts,
+    divergences_to_notes,
+    fmt_minutes,
     format_table,
-    improvement_rows,
+    improvements_to_rows,
+    json_text,
+    plan_divergences,
     plan_to_dict,
     plan_to_rows,
     report_to_dict,
+    schemes_to_rows,
     sharing_summary,
+    sharing_to_dict,
+    sharing_to_rows,
     write_csv,
     write_json,
 )
-from .scenario import ScenarioError, load_scenario, matches_reference_layout, scenario_digest
+from .scenario import load_scenario, matches_reference_layout, scenario_digest
 from .sharing import capacity_sweep
 
 
@@ -63,14 +74,6 @@ class Emission:
     csv_files: list = field(default_factory=list)  # (filename, headers, rows)
 
 
-def _fmt_min(minutes: float) -> str:
-    return f"{minutes:.3f}"
-
-
-def _fmt_pct(pct: float) -> str:
-    return f"{pct:.2f}"
-
-
 def _resolve_mode(args, scenario) -> PlacementMode:
     if args.mode is not None:
         return PlacementMode(args.mode)
@@ -79,7 +82,7 @@ def _resolve_mode(args, scenario) -> PlacementMode:
 
 
 def _parse_weights(args) -> tuple | None:
-    if getattr(args, "weights", None) is None:
+    if args.weights is None:
         return None
     parts = [p for p in args.weights.split(",") if p.strip()]
     if len(parts) != 3:
@@ -87,65 +90,47 @@ def _parse_weights(args) -> tuple | None:
     return tuple(float(p) for p in parts)
 
 
-def _cases(args) -> list:
-    if getattr(args, "case", None) is None:
-        return [DelayCase.BEST, DelayCase.WORST]
-    return [DelayCase(args.case)]
-
-
-def _divergence_notes(plan) -> list:
-    notes = []
-    for device_id, published, chosen in reference_divergences(plan):
-        notes.append(
-            f"note: {device_id} diverges from the published allocation: "
-            f"caches {subset_label(chosen)} instead of {subset_label(published)}")
-    return notes
+def _plan(args, scenario) -> tuple:
+    """(mode, edge plan) for the --mode and --weights options."""
+    mode = _resolve_mode(args, scenario)
+    return mode, plan_scenario(scenario, mode, weights=_parse_weights(args))
 
 
 def cmd_allocate(args, scenario) -> Emission:
-    mode = _resolve_mode(args, scenario)
-    plan = plan_scenario(scenario, mode, weights=_parse_weights(args))
+    mode, plan = _plan(args, scenario)
     payload = {"digest": scenario_digest(scenario), "plan": plan_to_dict(plan)}
-    notes = []
-    if mode is not PlacementMode.REFERENCE and matches_reference_layout(scenario):
-        notes = _divergence_notes(plan)
-        payload["divergences"] = [
-            {"device": d, "published": subset_label(ref), "chosen": subset_label(got)}
-            for d, ref, got in reference_divergences(plan)]
-    headers = ["device", "location", "cached", "cached_gb", "residual_gb"]
+    divergences = plan_divergences(scenario, mode, plan)
+    if divergences is not None:
+        payload["divergences"] = divergences_to_dicts(divergences)
     rows = plan_to_rows(plan)
-    return Emission("allocation", payload, tables=[(f"allocation ({mode.value})", headers, rows)],
-                    notes=notes, csv_files=[("allocation.csv", headers, rows)])
+    return Emission("allocation", payload,
+                    tables=[(f"allocation ({mode.value})", PLAN_HEADERS, rows)],
+                    notes=divergences_to_notes(divergences or ()),
+                    csv_files=[("allocation.csv", PLAN_HEADERS, rows)])
 
 
 def cmd_delay(args, scenario) -> Emission:
-    scheme = args.scheme
     plan = None
-    if scheme == "edge":
-        mode = _resolve_mode(args, scenario)
-        plan = plan_scenario(scenario, mode, weights=_parse_weights(args))
-        active = scenario
-        report = expected_delay(plan, active.locations, active.rates, scheme=SCHEME_EDGE)
-    elif scheme == "femtocache":
-        active = scenario.with_video_mode(VideoMode.CONVENTIONAL)
-        plan = plan_scenario(active, PlacementMode.MIN_COMBO)
-        report = expected_delay(plan, active.locations, active.rates, scheme=SCHEME_FEMTO)
+    if args.scheme == "edge":
+        _, plan = _plan(args, scenario)
+        report = expected_delay(plan, scenario.locations, scenario.rates, scheme=SCHEME_EDGE)
+    elif args.scheme == "femtocache":
+        plan = femtocache_plan(scenario)
+        report = expected_delay(plan, scenario.locations, scenario.rates, scheme=SCHEME_FEMTO)
     else:
-        active = scenario
         report = baseline_delay(scenario.demand, scenario.records, scenario.locations,
                                 scenario.rates)
-    cases = _cases(args)
+    cases = [DelayCase(args.case)] if args.case else [DelayCase.BEST, DelayCase.WORST]
     payload = {"digest": scenario_digest(scenario), "report": delay_report_to_dict(report)}
-    summary_rows = [[case.value, _fmt_min(report.minutes(case))] for case in cases]
+    summary_rows = [[case.value, fmt_minutes(report.minutes(case))] for case in cases]
     term_headers = ["location", "probability", "best_minutes", "worst_minutes"]
-    term_rows = [[t.location, f"{t.probability:.6f}", _fmt_min(t.best_minutes),
-                  _fmt_min(t.worst_minutes)] for t in report.terms]
+    term_rows = [[t.location, f"{t.probability:.6f}", fmt_minutes(t.best_minutes),
+                  fmt_minutes(t.worst_minutes)] for t in report.terms]
     tables = [(f"{report.scheme} delay", ["case", "minutes"], summary_rows),
               ("per-location terms", term_headers, term_rows)]
-    csv_rows = [[report.scheme, case.value, _fmt_min(report.minutes(case))] for case in cases]
     emission = Emission(f"delay_{report.scheme}", payload, tables=tables,
-                        csv_files=[(f"delay_{report.scheme}.csv",
-                                    ["scheme", "case", "minutes"], csv_rows)])
+                        csv_files=[(f"delay_{report.scheme}.csv", CASE_HEADERS,
+                                    delay_cases_to_rows([report], cases))])
     if args.monte_carlo:
         if plan is None:
             raise ValueError("monte carlo estimation needs a plan-based scheme (edge or femtocache)")
@@ -154,17 +139,17 @@ def cmd_delay(args, scenario) -> Emission:
         mc_rows = []
         payload["monte_carlo"] = {}
         for case in cases:
-            result = monte_carlo_delay(plan, config, active.locations, active.rates, case)
+            result = monte_carlo_delay(plan, config, scenario.locations, scenario.rates, case)
             payload["monte_carlo"][case.value] = {
                 "minutes": result.minutes, "std_error": result.std_error,
                 "samples": result.samples, "seed": result.seed,
                 "partitions": result.partitions}
-            mc_rows.append([case.value, _fmt_min(result.minutes),
+            mc_rows.append([case.value, fmt_minutes(result.minutes),
                             f"{result.std_error:.6f}", str(result.samples)])
-        partials = poisson_partial_sums([loc.probability for loc in active.locations],
+        partials = poisson_partial_sums([loc.probability for loc in scenario.locations],
                                         config.truncation)
         payload["poisson_partial_sums"] = {
-            loc.name: p for loc, p in zip(active.locations, partials)}
+            loc.name: p for loc, p in zip(scenario.locations, partials)}
         emission.tables.append(("monte carlo", ["case", "minutes", "std_error", "samples"],
                                 mc_rows))
     return emission
@@ -172,54 +157,31 @@ def cmd_delay(args, scenario) -> Emission:
 
 def cmd_compare(args, scenario) -> Emission:
     mode = _resolve_mode(args, scenario)
-    plan = plan_scenario(scenario, mode, weights=_parse_weights(args))
-    schemes = compare_schemes(scenario, plan)
-    improvements = improvement_rows(schemes)
-    payload = {
-        "digest": scenario_digest(scenario),
-        "mode": mode.value,
-        "schemes": {label: delay_report_to_dict(rep) for label, rep in sorted(schemes.items())},
-        "improvements": [{"reference_scheme": r.reference_scheme, "case": r.case.value,
-                          "reference_minutes": r.reference_minutes,
-                          "new_minutes": r.new_minutes, "pct": r.pct}
-                         for r in improvements],
-    }
-    delay_headers = ["scheme", "best_minutes", "worst_minutes"]
-    delay_rows = [[label, _fmt_min(rep.best_minutes), _fmt_min(rep.worst_minutes)]
-                  for label, rep in ((SCHEME_EDGE, schemes[SCHEME_EDGE]),
-                                     (SCHEME_FEMTO, schemes[SCHEME_FEMTO]),
-                                     (SCHEME_BASELINE, schemes[SCHEME_BASELINE]))]
-    imp_headers = ["reference", "case", "reference_minutes", "edge_minutes", "improvement_pct"]
-    imp_rows = [[r.reference_scheme, r.case.value, _fmt_min(r.reference_minutes),
-                 _fmt_min(r.new_minutes), _fmt_pct(r.pct)] for r in improvements]
-    bar_headers = ["scheme", "case", "minutes"]
-    bar_rows = [[label, case.value, _fmt_min(rep.minutes(case))]
-                for label, rep in sorted(schemes.items())
-                for case in (DelayCase.BEST, DelayCase.WORST)]
+    report = build_report(scenario, mode, weights=_parse_weights(args))
+    full = report_to_dict(report)
+    payload = {key: full[key] for key in ("digest", "mode", "schemes", "improvements")}
+    imp_rows = improvements_to_rows(report.improvements)
+    # The table keeps compare_schemes' order (edge, femtocache, baseline); the
+    # CSV lists one row per scheme and case, sorted by scheme.
+    case_rows = delay_cases_to_rows([rep for _, rep in sorted(report.schemes.items())],
+                                    (DelayCase.BEST, DelayCase.WORST))
     return Emission(
         "compare", payload,
-        tables=[("delay comparison", delay_headers, delay_rows),
-                ("improvements", imp_headers, imp_rows)],
-        csv_files=[("compare.csv", bar_headers, bar_rows),
-                   ("improvements.csv", imp_headers, imp_rows)])
+        tables=[("delay comparison", SCHEME_HEADERS, schemes_to_rows(report.schemes.items())),
+                ("improvements", IMPROVEMENT_HEADERS, imp_rows)],
+        csv_files=[("compare.csv", CASE_HEADERS, case_rows),
+                   ("improvements.csv", IMPROVEMENT_HEADERS, imp_rows)])
 
 
 def cmd_share(args, scenario) -> Emission:
     summary = sharing_summary(scenario)
-    payload = {
-        "digest": scenario_digest(scenario),
-        "per_device": [{"device": d, "capacity_gb": c, "patients": p}
-                       for d, c, p in summary.per_device],
-        "total": summary.total,
-        "total_with_hosts": summary.total_with_hosts,
-    }
-    headers = ["device", "capacity_gb", "patients"]
-    rows = [[d, f"{c:g}", str(p)] for d, c, p in summary.per_device]
+    payload = {"digest": scenario_digest(scenario), **sharing_to_dict(summary)}
+    rows = sharing_to_rows(summary)
     notes = [f"total patients: {summary.total}"]
     if args.count_hosts:
         notes.append(f"total counting unshared hosts: {summary.total_with_hosts}")
-    return Emission("sharing", payload, tables=[("shared capacity", headers, rows)],
-                    notes=notes, csv_files=[("sharing.csv", headers, rows)])
+    return Emission("sharing", payload, tables=[("shared capacity", SHARING_HEADERS, rows)],
+                    notes=notes, csv_files=[("sharing.csv", SHARING_HEADERS, rows)])
 
 
 def cmd_sweep(args, scenario) -> Emission:
@@ -269,25 +231,21 @@ def _parse_observation(spec: str):
 
 def cmd_calibrate(args, scenario) -> Emission:
     specs = args.observation or ["edge:best:9.872", "baseline:worst:247.467"]
-    mode = _resolve_mode(args, scenario)
-    edge_plan = plan_scenario(scenario, mode, weights=_parse_weights(args))
-    conventional = scenario.with_video_mode(VideoMode.CONVENTIONAL)
-    femto_plan = plan_scenario(conventional, PlacementMode.MIN_COMBO)
+    _, edge_plan = _plan(args, scenario)
+    plans = {"edge": edge_plan, "femtocache": femtocache_plan(scenario)}
     observations = []
     for spec in specs:
         scheme, case, minutes = _parse_observation(spec)
-        if scheme == "edge":
-            observations.append(plan_observation(edge_plan, scenario.locations, case, minutes))
-        elif scheme == "femtocache":
-            observations.append(plan_observation(femto_plan, conventional.locations,
-                                                 case, minutes))
-        else:
+        if scheme == "baseline":
             observations.append(baseline_observation(scenario.demand, scenario.records,
                                                      scenario.locations, case, minutes))
+        else:
+            observations.append(plan_observation(plans[scheme], scenario.locations,
+                                                 case, minutes))
     rates = calibrate_rates(observations)
     recalibrated = replace(scenario, rates=rates)
     # Placement ignores link rates, so the edge plan holds for the new rates too.
-    schemes = compare_schemes(recalibrated, edge_plan)
+    schemes = sorted(compare_schemes(recalibrated, edge_plan).items())
     payload = {
         "digest": scenario_digest(scenario),
         "observations": specs,
@@ -295,67 +253,43 @@ def cmd_calibrate(args, scenario) -> Emission:
         "macro_rate": rates.macro_rate,
         "reproduced": {label: {"best_minutes": rep.best_minutes,
                                "worst_minutes": rep.worst_minutes}
-                       for label, rep in sorted(schemes.items())},
+                       for label, rep in schemes},
     }
-    headers = ["scheme", "best_minutes", "worst_minutes"]
-    rows = [[label, _fmt_min(rep.best_minutes), _fmt_min(rep.worst_minutes)]
-            for label, rep in sorted(schemes.items())]
+    rows = schemes_to_rows(schemes)
     notes = [f"edge_rate: {rates.edge_rate:.9f} GB/s",
              f"macro_rate: {rates.macro_rate:.9f} GB/s"]
     return Emission("calibration", payload,
-                    tables=[("delays reproduced with calibrated rates", headers, rows)],
-                    notes=notes, csv_files=[("calibration.csv", headers, rows)])
+                    tables=[("delays reproduced with calibrated rates", SCHEME_HEADERS, rows)],
+                    notes=notes, csv_files=[("calibration.csv", SCHEME_HEADERS, rows)])
 
 
 def cmd_report(args, scenario) -> Emission:
     mode = _resolve_mode(args, scenario)
     report = build_report(scenario, mode, weights=_parse_weights(args))
+    tables = [
+        (f"allocation ({mode.value})", PLAN_HEADERS, plan_to_rows(report.plan)),
+        ("delay comparison", SCHEME_HEADERS, schemes_to_rows(sorted(report.schemes.items()))),
+        ("improvements", IMPROVEMENT_HEADERS, improvements_to_rows(report.improvements)),
+        ("shared capacity", SHARING_HEADERS, sharing_to_rows(report.sharing)),
+    ]
+    csv_files = [(name, headers, rows) for name, (_, headers, rows) in zip(
+        ("allocation.csv", "compare.csv", "improvements.csv", "sharing.csv"), tables)]
     payload = report_to_dict(report)
     if args.out:
-        payload["emitted"] = [f"{args.out}/report.json"] + [
-            f"{args.out}/{name}" for name in
-            ("allocation.csv", "compare.csv", "improvements.csv", "sharing.csv")]
-    plan_headers = ["device", "location", "cached", "cached_gb", "residual_gb"]
-    plan_rows = plan_to_rows(report.plan)
-    delay_headers = ["scheme", "best_minutes", "worst_minutes"]
-    delay_rows = [[label, _fmt_min(rep.best_minutes), _fmt_min(rep.worst_minutes)]
-                  for label, rep in sorted(report.schemes.items())]
-    imp_headers = ["reference", "case", "reference_minutes", "edge_minutes", "improvement_pct"]
-    imp_rows = [[r.reference_scheme, r.case.value, _fmt_min(r.reference_minutes),
-                 _fmt_min(r.new_minutes), _fmt_pct(r.pct)] for r in report.improvements]
-    share_headers = ["device", "capacity_gb", "patients"]
-    share_rows = [[d, f"{c:g}", str(p)] for d, c, p in report.sharing.per_device]
+        payload["emitted"] = [f"{args.out}/{name}"
+                              for name in ["report.json"] + [f[0] for f in csv_files]]
     notes = [f"digest: {report.digest}", f"total patients: {report.sharing.total}"]
-    notes += [f"note: {d} diverges from the published allocation: caches "
-              f"{subset_label(got)} instead of {subset_label(ref)}"
-              for d, ref, got in report.divergences]
-    return Emission(
-        "report", payload,
-        tables=[(f"allocation ({mode.value})", plan_headers, plan_rows),
-                ("delay comparison", delay_headers, delay_rows),
-                ("improvements", imp_headers, imp_rows),
-                ("shared capacity", share_headers, share_rows)],
-        notes=notes,
-        csv_files=[("allocation.csv", plan_headers, plan_rows),
-                   ("compare.csv", delay_headers, delay_rows),
-                   ("improvements.csv", imp_headers, imp_rows),
-                   ("sharing.csv", share_headers, share_rows)])
-
-
-def _csv_text(headers, rows) -> str:
-    buf = io.StringIO()
-    writer = csv_mod.writer(buf)
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return Emission("report", payload, tables=tables,
+                    notes=notes + divergences_to_notes(report.divergences),
+                    csv_files=csv_files)
 
 
 def _emit(args, emission: Emission) -> None:
     if args.format == "json":
-        print(json.dumps(emission.payload, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(emission.payload))
     elif args.format == "csv":
-        name, headers, rows = emission.csv_files[0]
-        sys.stdout.write(_csv_text(headers, rows))
+        _, headers, rows = emission.csv_files[0]
+        sys.stdout.write(csv_text(headers, rows))
     else:
         for title, headers, rows in emission.tables:
             print(f"== {title}")
@@ -364,14 +298,12 @@ def _emit(args, emission: Emission) -> None:
         for note in emission.notes:
             print(note)
     if args.out:
-        out_dir = ensure_out_dir(args.out)
-        json_path = f"{out_dir}/{emission.name}.json"
-        write_json(json_path, emission.payload)
-        written = [json_path]
+        os.makedirs(args.out, exist_ok=True)
+        written = [f"{args.out}/{emission.name}.json"]
+        write_json(written[0], emission.payload)
         for name, headers, rows in emission.csv_files:
-            path = f"{out_dir}/{name}"
-            write_csv(path, headers, rows)
-            written.append(path)
+            written.append(f"{args.out}/{name}")
+            write_csv(written[-1], headers, rows)
         for path in written:
             print(f"wrote {path}", file=sys.stderr)
 
@@ -467,10 +399,7 @@ def main(argv=None) -> int:
         emission = args.handler(args, scenario)
         _emit(args, emission)
         return 0
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -116,11 +116,15 @@ def expected_delay(plan: AllocationPlan, locations, rates: LinkRates,
     return DelayReport(scheme, best, worst, tuple(terms))
 
 
+def femtocache_plan(scenario) -> AllocationPlan:
+    """The conventional-cache plan: best-ranked combinations of conventional recordings."""
+    return plan_scenario(scenario.with_video_mode(VideoMode.CONVENTIONAL),
+                         PlacementMode.MIN_COMBO)
+
+
 def femtocache_delay(scenario) -> DelayReport:
     """Delay report for edge caching of conventional recordings (no event camera)."""
-    conventional = scenario.with_video_mode(VideoMode.CONVENTIONAL)
-    plan = plan_scenario(conventional, PlacementMode.MIN_COMBO)
-    return expected_delay(plan, conventional.locations, conventional.rates,
+    return expected_delay(femtocache_plan(scenario), scenario.locations, scenario.rates,
                           scheme="femtocache")
 
 

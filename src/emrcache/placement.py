@@ -176,7 +176,8 @@ REFERENCE_DEVICES = {
 }
 
 
-def _is_reference_device(device: EdgeDevice, records: RecordSet, mode: VideoMode) -> bool:
+def is_reference_device(device: EdgeDevice, records: RecordSet, mode: VideoMode) -> bool:
+    """True when the device, the record sizes and the video mode are the built-in ones."""
     spec = REFERENCE_DEVICES.get(device.id)
     if spec is None:
         return False
@@ -228,7 +229,7 @@ def optimize_device(device: EdgeDevice, records: RecordSet, tables: PenaltyTable
     returns the published allocation and only accepts the built-in layout.
     """
     if mode is PlacementMode.REFERENCE:
-        if not _is_reference_device(device, records, video_mode):
+        if not is_reference_device(device, records, video_mode):
             raise ValueError(
                 f"mode 'paper' only applies to the built-in scenario; device {device.id!r} differs")
         return REFERENCE_ALLOCATION[device.id]

@@ -1,14 +1,16 @@
 """Rollup reporting: scheme comparison, improvement matrix, sharing summary.
 
 Everything here is derived from a scenario plus a placement mode, and every
-report carries the scenario digest so its numbers can be recomputed.
+report carries the scenario digest so its numbers can be recomputed. The
+rows (for tables and CSV) and the dicts (for JSON) of each result are built
+here once, as are the JSON and CSV texts; the CLI only composes them.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
-import os
 from dataclasses import dataclass
 
 from .delay import (
@@ -94,12 +96,17 @@ def sharing_summary(scenario: EdgeScenario) -> SharingSummary:
     )
 
 
+def plan_divergences(scenario: EdgeScenario, mode: PlacementMode, plan: AllocationPlan):
+    """(device id, published subset, chosen subset) where `plan` departs from the
+    published allocation; None when the comparison does not apply."""
+    if mode is PlacementMode.REFERENCE or not matches_reference_layout(scenario):
+        return None
+    return tuple(reference_divergences(plan))
+
+
 def build_report(scenario: EdgeScenario, mode: PlacementMode, weights=None) -> RunReport:
     plan = plan_scenario(scenario, mode, weights=weights)
     schemes = compare_schemes(scenario, plan)
-    divergences = ()
-    if mode is not PlacementMode.REFERENCE and matches_reference_layout(scenario):
-        divergences = tuple(reference_divergences(plan))
     return RunReport(
         digest=scenario_digest(scenario),
         mode=mode,
@@ -107,13 +114,52 @@ def build_report(scenario: EdgeScenario, mode: PlacementMode, weights=None) -> R
         schemes=schemes,
         improvements=improvement_rows(schemes),
         sharing=sharing_summary(scenario),
-        divergences=divergences,
+        divergences=plan_divergences(scenario, mode, plan) or (),
     )
+
+
+PLAN_HEADERS = ["device", "location", "cached", "cached_gb", "residual_gb"]
+SCHEME_HEADERS = ["scheme", "best_minutes", "worst_minutes"]
+CASE_HEADERS = ["scheme", "case", "minutes"]
+IMPROVEMENT_HEADERS = ["reference", "case", "reference_minutes", "edge_minutes",
+                       "improvement_pct"]
+SHARING_HEADERS = ["device", "capacity_gb", "patients"]
+
+
+def fmt_minutes(minutes: float) -> str:
+    return f"{minutes:.3f}"
 
 
 def plan_to_rows(plan: AllocationPlan) -> list:
     return [[e.device_id, e.location, subset_label(e.subset),
              f"{e.cached_gb:.3f}", f"{e.residual_gb:.3f}"] for e in plan.entries]
+
+
+def plan_to_dict(plan: AllocationPlan) -> dict:
+    return {
+        "mode": plan.mode.value,
+        "video_mode": plan.video_mode.value,
+        "entries": [{"device": e.device_id, "location": e.location,
+                     "subset": subset_label(e.subset), "cached_gb": e.cached_gb,
+                     "residual_gb": e.residual_gb} for e in plan.entries],
+    }
+
+
+def divergences_to_notes(divergences) -> list:
+    return [f"note: {d} diverges from the published allocation: "
+            f"caches {subset_label(got)} instead of {subset_label(ref)}"
+            for d, ref, got in divergences]
+
+
+def divergences_to_dicts(divergences) -> list:
+    return [{"device": d, "published": subset_label(ref), "chosen": subset_label(got)}
+            for d, ref, got in divergences]
+
+
+def delay_cases_to_rows(reports, cases) -> list:
+    """[scheme, case, minutes] for each report and case."""
+    return [[rep.scheme, case.value, fmt_minutes(rep.minutes(case))]
+            for rep in reports for case in cases]
 
 
 def delay_report_to_dict(report: DelayReport) -> dict:
@@ -127,13 +173,27 @@ def delay_report_to_dict(report: DelayReport) -> dict:
     }
 
 
-def plan_to_dict(plan: AllocationPlan) -> dict:
+def schemes_to_rows(items) -> list:
+    """[label, best, worst] for (label, DelayReport) pairs, in the order given."""
+    return [[label, fmt_minutes(rep.best_minutes), fmt_minutes(rep.worst_minutes)]
+            for label, rep in items]
+
+
+def improvements_to_rows(improvements) -> list:
+    return [[r.reference_scheme, r.case.value, fmt_minutes(r.reference_minutes),
+             fmt_minutes(r.new_minutes), f"{r.pct:.2f}"] for r in improvements]
+
+
+def sharing_to_rows(summary: SharingSummary) -> list:
+    return [[d, f"{c:g}", str(p)] for d, c, p in summary.per_device]
+
+
+def sharing_to_dict(summary: SharingSummary) -> dict:
     return {
-        "mode": plan.mode.value,
-        "video_mode": plan.video_mode.value,
-        "entries": [{"device": e.device_id, "location": e.location,
-                     "subset": subset_label(e.subset), "cached_gb": e.cached_gb,
-                     "residual_gb": e.residual_gb} for e in plan.entries],
+        "per_device": [{"device": d, "capacity_gb": c, "patients": p}
+                       for d, c, p in summary.per_device],
+        "total": summary.total,
+        "total_with_hosts": summary.total_with_hosts,
     }
 
 
@@ -148,15 +208,8 @@ def report_to_dict(report: RunReport) -> dict:
                           "reference_minutes": r.reference_minutes,
                           "new_minutes": r.new_minutes, "pct": r.pct}
                          for r in report.improvements],
-        "sharing": {
-            "per_device": [{"device": d, "capacity_gb": c, "patients": p}
-                           for d, c, p in report.sharing.per_device],
-            "total": report.sharing.total,
-            "total_with_hosts": report.sharing.total_with_hosts,
-        },
-        "divergences": [{"device": d, "published": subset_label(ref),
-                         "chosen": subset_label(got)}
-                        for d, ref, got in report.divergences],
+        "sharing": sharing_to_dict(report.sharing),
+        "divergences": divergences_to_dicts(report.divergences),
     }
 
 
@@ -171,19 +224,23 @@ def format_table(headers, rows) -> str:
     return "\n".join(lines)
 
 
+def csv_text(headers, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_csv(path, headers, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        writer.writerows(rows)
+        fh.write(csv_text(headers, rows))
 
 
 def write_json(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def ensure_out_dir(out_dir) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+        fh.write(json_text(payload))

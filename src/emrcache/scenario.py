@@ -20,6 +20,7 @@ from .placement import (
     EdgeDevice,
     LocationProfile,
     PenaltyTables,
+    is_reference_device,
 )
 from .records import (
     ALL_CLASSES,
@@ -108,19 +109,9 @@ def reference_scenario() -> EdgeScenario:
 
 def matches_reference_layout(scenario: EdgeScenario) -> bool:
     """True when records, devices and locations equal the built-in scenario."""
-    if scenario.records != RecordSet() or scenario.video_mode is not VideoMode.DVS:
-        return False
-    if len(scenario.devices) != len(REFERENCE_DEVICES):
-        return False
-    for device in scenario.devices:
-        spec = REFERENCE_DEVICES.get(device.id)
-        if spec is None:
-            return False
-        name, dwell, capacity = spec
-        if (device.location.name, device.location.dwell_hours, device.capacity_gb) != (
-                name, dwell, capacity):
-            return False
-    return True
+    return (len(scenario.devices) == len(REFERENCE_DEVICES)
+            and all(is_reference_device(d, scenario.records, scenario.video_mode)
+                    for d in scenario.devices))
 
 
 def validate(scenario: EdgeScenario) -> list:
@@ -135,6 +126,9 @@ def validate(scenario: EdgeScenario) -> list:
         if not 1 <= loc.dwell_hours <= 24:
             violations.append(
                 f"locations[{loc.name}].dwell_hours: {loc.dwell_hours} outside [1, 24]")
+        if loc.dwell_hours not in scenario.tables.staying:
+            violations.append(f"locations[{loc.name}].dwell_hours: no staying coefficient "
+                              f"for dwell time {loc.dwell_hours}")
     total = sum(loc.dwell_hours for loc in scenario.locations)
     if abs(total - 24.0) > DWELL_SUM_EPS:
         violations.append(f"locations: dwell_hours sum to {total}, expected 24")

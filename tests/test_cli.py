@@ -178,3 +178,19 @@ def test_report_to_directory(tmp_path, capsys):
     payload = json.loads((out_dir / "report.json").read_text())
     assert payload["sharing"]["total"] == 147
     assert len(payload["digest"]) == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate"], ["delay", "--scheme", "baseline"], ["compare"], ["share"], ["sweep"],
+    ["dvs-size"], ["calibrate"], ["report"]], ids=lambda argv: argv[0])
+def test_fractional_dwell_hours_exit_2_at_load(tmp_path, capsys, argv):
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps({
+        "locations": [{"name": "a", "dwell_hours": 12.5}, {"name": "b", "dwell_hours": 11.5}],
+        "devices": [{"id": "A", "capacity_gb": 100, "location": "a"},
+                    {"id": "B", "capacity_gb": 100, "location": "b"}]}))
+    code, out, err = _run(capsys, *argv, "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert "locations[a].dwell_hours: no staying coefficient for dwell time 12.5" in err
+    assert "locations[b].dwell_hours: no staying coefficient for dwell time 11.5" in err
