@@ -232,10 +232,12 @@ def _parse_observation(spec: str):
 def cmd_calibrate(args, scenario) -> Emission:
     specs = args.observation or ["edge:best:9.872", "baseline:worst:247.467"]
     _, edge_plan = _plan(args, scenario)
-    plans = {"edge": edge_plan, "femtocache": femtocache_plan(scenario)}
+    parsed = [_parse_observation(spec) for spec in specs]
+    plans = {"edge": edge_plan}
+    if any(scheme == "femtocache" for scheme, _, _ in parsed):
+        plans["femtocache"] = femtocache_plan(scenario)
     observations = []
-    for spec in specs:
-        scheme, case, minutes = _parse_observation(spec)
+    for scheme, case, minutes in parsed:
         if scheme == "baseline":
             observations.append(baseline_observation(scenario.demand, scenario.records,
                                                      scenario.locations, case, minutes))

@@ -10,9 +10,11 @@ is exhaustive over the 8 subsets, which is exact at this problem size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 
 from .records import (
     ALL_CLASSES,
@@ -21,7 +23,6 @@ from .records import (
     FileClass,
     RecordSet,
     VideoMode,
-    full_emr_size,
     subset_size,
 )
 
@@ -59,14 +60,11 @@ class EdgeDevice:
 
 
 def staying_penalty(hours) -> int:
-    """Coefficient for a location occupied `hours` per day: 25 - hours.
+    """Default staying coefficient for a location occupied `hours` per day.
 
     Only whole hours in 1..24 are defined; anything else is rejected.
     """
-    h = float(hours)
-    if h != int(h) or not 1 <= h <= 24:
-        raise ValueError(f"staying time must be a whole number of hours in 1..24, got {hours!r}")
-    return 25 - int(h)
+    return PenaltyTables.default().staying_for(hours)
 
 
 def value_penalty(file_class: FileClass) -> int:
@@ -74,21 +72,20 @@ def value_penalty(file_class: FileClass) -> int:
     return DEFAULT_VALUE_PENALTIES[file_class]
 
 
-def default_staying_table() -> dict:
-    return {h: 25 - h for h in range(1, 25)}
-
-
-def _rank_key(subset, records: RecordSet, mode: VideoMode):
-    # Descending size, then fewer classes, then canonical class order.
-    lex = tuple(sorted(CLASS_ORDER.index(c) for c in subset))
-    return (-subset_size(subset, records, mode), len(subset), lex)
-
-
 @lru_cache(maxsize=4096)
-def ranked_subsets(records: RecordSet, mode: VideoMode) -> tuple:
-    """The 7 non-empty subsets ordered largest first."""
-    nonempty = [s for s in ALL_SUBSETS if s]
-    return tuple(sorted(nonempty, key=lambda s: _rank_key(s, records, mode)))
+def subset_table(records: RecordSet, video_mode: VideoMode):
+    """Each subset, in ALL_SUBSETS order, mapped to (size GB, default combo coefficient).
+
+    The coefficient is 2 x position in the size-descending order of the 7
+    non-empty subsets, and 16 for the empty set. Equal sizes rank fewer
+    classes first, then canonical class order: ALL_SUBSETS already lists
+    each cardinality in that order and the sort is stable.
+    """
+    sizes = {s: subset_size(s, records, video_mode) for s in ALL_SUBSETS}
+    ranked = sorted((s for s in ALL_SUBSETS if s), key=lambda s: (-sizes[s], len(s)))
+    combo = {s: 2 * (i + 1) for i, s in enumerate(ranked)}
+    return MappingProxyType({s: (sizes[s], combo.get(s, EMPTY_COMBO_PENALTY))
+                             for s in ALL_SUBSETS})
 
 
 def combo_penalty(subset, records: RecordSet, mode: VideoMode) -> int:
@@ -96,10 +93,7 @@ def combo_penalty(subset, records: RecordSet, mode: VideoMode) -> int:
 
     Equal-size ties rank the subset with fewer classes first.
     """
-    if not subset:
-        return EMPTY_COMBO_PENALTY
-    order = ranked_subsets(records, mode)
-    return 2 * (order.index(frozenset(subset)) + 1)
+    return subset_table(records, mode)[frozenset(subset)][1]
 
 
 @dataclass(frozen=True)
@@ -133,16 +127,13 @@ class PenaltyTables:
 
     @classmethod
     def default(cls) -> "PenaltyTables":
-        return cls(default_staying_table(), dict(DEFAULT_VALUE_PENALTIES))
+        return cls({h: 25 - h for h in range(1, 25)}, dict(DEFAULT_VALUE_PENALTIES))
 
     def staying_for(self, dwell_hours) -> int:
         h = float(dwell_hours)
         if h != int(h) or int(h) not in self.staying:
             raise ValueError(f"no staying coefficient for dwell time {dwell_hours!r}")
         return self.staying[int(h)]
-
-    def value_for(self, file_class: FileClass) -> int:
-        return self.value[file_class]
 
     def combo_for(self, subset, records: RecordSet, mode: VideoMode) -> int:
         if self.combo is not None and frozenset(subset) in self.combo:
@@ -191,32 +182,12 @@ def is_reference_device(device: EdgeDevice, records: RecordSet, mode: VideoMode)
 
 def enumerate_feasible(device: EdgeDevice, records: RecordSet, mode: VideoMode) -> list:
     """Every subset whose total size fits the device capacity, empty set included."""
-    return [s for s in ALL_SUBSETS
-            if subset_size(s, records, mode) <= device.capacity_gb + SIZE_EPS]
+    return [s for s, (size, _) in subset_table(records, mode).items()
+            if size <= device.capacity_gb + SIZE_EPS]
 
 
-def placement_score(subset, device: EdgeDevice, records: RecordSet, video_mode: VideoMode,
-                    tables: PenaltyTables, mode: PlacementMode, weights=None) -> float:
-    """Score one candidate subset under the given placement mode.
-
-    Leaving a class out of the cache charges that location's staying
-    coefficient plus the class value coefficient; the cached combination
-    always contributes its rank coefficient.
-    """
-    excluded = ALL_CLASSES - frozenset(subset)
-    staying_term = tables.staying_for(device.location.dwell_hours) * len(excluded)
-    value_term = sum(tables.value_for(c) for c in excluded)
-    combo_term = tables.combo_for(subset, records, video_mode)
-    if mode is PlacementMode.OMISSION:
-        return staying_term + value_term + combo_term
-    if mode is PlacementMode.MIN_COMBO:
-        return combo_term
-    if mode is PlacementMode.CUSTOM:
-        if weights is None or len(weights) != 3:
-            raise ValueError("custom mode needs three weights (staying, value, combo)")
-        w_stay, w_value, w_combo = weights
-        return w_stay * staying_term + w_value * value_term + w_combo * combo_term
-    raise ValueError(f"no score function for mode {mode}")
+# (staying, value, combo) weights of the fixed modes; ints keep their scores exact.
+_MODE_WEIGHTS = {PlacementMode.OMISSION: (1, 1, 1), PlacementMode.MIN_COMBO: (0, 0, 1)}
 
 
 def optimize_device(device: EdgeDevice, records: RecordSet, tables: PenaltyTables,
@@ -224,19 +195,34 @@ def optimize_device(device: EdgeDevice, records: RecordSet, tables: PenaltyTable
                     weights=None) -> frozenset:
     """Pick the cached subset for one device.
 
-    Exhaustive search over the feasible subsets; score ties break toward the
-    better combination rank, so the result is deterministic. REFERENCE mode
-    returns the published allocation and only accepts the built-in layout.
+    Exhaustive search over the feasible subsets. Each is scored as
+    w_stay * (staying x classes left out) + w_value * (value of the classes
+    left out) + w_combo * (combination coefficient), with the mode's weights;
+    score ties break toward the better combination rank, so the result is
+    deterministic. REFERENCE mode returns the published allocation and only
+    accepts the built-in layout.
     """
     if mode is PlacementMode.REFERENCE:
         if not is_reference_device(device, records, video_mode):
             raise ValueError(
                 f"mode 'paper' only applies to the built-in scenario; device {device.id!r} differs")
         return REFERENCE_ALLOCATION[device.id]
-    feasible = enumerate_feasible(device, records, video_mode)
-    return min(feasible, key=lambda s: (
-        placement_score(s, device, records, video_mode, tables, mode, weights),
-        tables.combo_for(s, records, video_mode)))
+    if mode is PlacementMode.CUSTOM:
+        if weights is None or len(weights) != 3 or not all(map(math.isfinite, weights)):
+            raise ValueError("custom mode needs three finite weights (staying, value, combo)")
+        w_stay, w_value, w_combo = weights
+    else:
+        w_stay, w_value, w_combo = _MODE_WEIGHTS[mode]
+    staying = tables.staying_for(device.location.dwell_hours)
+
+    def key(subset):
+        excluded = ALL_CLASSES - subset
+        value_term = sum(tables.value[c] for c in excluded)
+        combo = tables.combo_for(subset, records, video_mode)
+        return (w_stay * (staying * len(excluded)) + w_value * value_term + w_combo * combo,
+                combo)
+
+    return min(enumerate_feasible(device, records, video_mode), key=key)
 
 
 @dataclass(frozen=True)
@@ -270,12 +256,13 @@ class AllocationPlan:
 
 def plan_scenario(scenario, mode: PlacementMode, weights=None) -> AllocationPlan:
     """Optimize every device in the scenario and assemble the allocation."""
-    full = full_emr_size(scenario.records, scenario.video_mode)
+    table = subset_table(scenario.records, scenario.video_mode)
+    full = table[ALL_CLASSES][0]
     entries = []
     for device in scenario.devices:
         subset = optimize_device(device, scenario.records, scenario.tables, mode,
                                  video_mode=scenario.video_mode, weights=weights)
-        cached = subset_size(subset, scenario.records, scenario.video_mode)
+        cached = table[subset][0]
         if cached > device.capacity_gb + SIZE_EPS:
             raise ValueError(f"{device.id}: cached {cached:.3f} GB exceeds capacity")
         entries.append(PlanEntry(device.id, device.location.name, subset, cached, full - cached))

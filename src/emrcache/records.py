@@ -25,7 +25,6 @@ class FileClass(Enum):
 # Canonical ordering used for deterministic iteration, labels and tie-breaks.
 CLASS_ORDER = (FileClass.TEXT, FileClass.IMAGE, FileClass.VIDEO)
 ALL_CLASSES = frozenset(CLASS_ORDER)
-EMPTY_SUBSET: frozenset = frozenset()
 
 
 class VideoMode(Enum):

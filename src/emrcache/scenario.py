@@ -60,18 +60,6 @@ class EdgeScenario:
     policy: SharingPolicy
     timeline: ActivityTimeline
 
-    def location(self, name: str) -> LocationProfile:
-        for loc in self.locations:
-            if loc.name == name:
-                return loc
-        raise ValueError(f"scenario has no location {name!r}")
-
-    def device_at(self, location_name: str) -> EdgeDevice:
-        for device in self.devices:
-            if device.location.name == location_name:
-                return device
-        raise ValueError(f"scenario has no device at location {location_name!r}")
-
     def with_video_mode(self, mode: VideoMode) -> "EdgeScenario":
         return replace(self, video_mode=mode)
 
@@ -159,10 +147,14 @@ _TOP_KEYS = ("records", "video_mode", "locations", "devices", "rates", "tables",
              "demand", "policy", "timeline")
 
 
-def _check_keys(section: str, data: dict, allowed) -> None:
-    unknown = sorted(set(data) - set(allowed))
+def _check_keys(section: str, data, allowed=None) -> dict:
+    """`data`, once it is a JSON object with no keys outside `allowed` (None allows any)."""
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{section}: must be a JSON object")
+    unknown = [] if allowed is None else sorted(set(data) - set(allowed))
     if unknown:
         raise ScenarioError(f"{section}: unknown keys {unknown}")
+    return data
 
 
 def scenario_from_dict(data: dict) -> EdgeScenario:
@@ -214,10 +206,10 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
             rates = ref.rates
 
         if "tables" in data:
-            _check_keys("tables", data["tables"], ("staying", "value", "combo"))
-            staying = data["tables"].get("staying")
-            value = data["tables"].get("value")
-            combo = data["tables"].get("combo")
+            raw = _check_keys("tables", data["tables"], ("staying", "value", "combo"))
+            staying, value, combo = (
+                None if raw.get(key) is None else _check_keys(f"tables.{key}", raw[key])
+                for key in ("staying", "value", "combo"))
             tables = PenaltyTables(
                 staying if staying is not None else ref.tables.staying,
                 ({FileClass(k): v for k, v in value.items()}
@@ -230,7 +222,7 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
 
         if "demand" in data:
             demand = DemandProfile({str(k): parse_subset(v)
-                                    for k, v in data["demand"].items()})
+                                    for k, v in _check_keys("demand", data["demand"]).items()})
         else:
             requirements = {}
             for loc in locations:
@@ -250,7 +242,7 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
             timeline = ref.timeline
     except ScenarioError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ScenarioError(str(exc)) from exc
 
     scenario = EdgeScenario(records, video_mode, locations, devices, rates,

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from emrcache import placement
 from emrcache.cli import main
 from emrcache.delay import MAX_PARTITIONS
 from emrcache.sharing import MAX_SWEEP_POINTS
@@ -194,3 +196,52 @@ def test_fractional_dwell_hours_exit_2_at_load(tmp_path, capsys, argv):
     assert out == ""
     assert "locations[a].dwell_hours: no staying coefficient for dwell time 12.5" in err
     assert "locations[b].dwell_hours: no staying coefficient for dwell time 11.5" in err
+
+
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_custom_weights_exit_2(capsys, token, position):
+    weights = ["1", "1", "1"]
+    weights[position] = token
+    code, out, err = _run(capsys, "allocate", "--mode", "custom",
+                          "--weights=" + ",".join(weights))
+    assert code == 2
+    assert out == ""
+    assert "weights" in err
+
+
+@pytest.mark.parametrize("document,section", [
+    ({"tables": []}, "tables"),
+    ({"demand": []}, "demand"),
+    ({"tables": {"value": [1]}}, "tables.value"),
+    ({"tables": {"combo": 5}}, "tables.combo"),
+    ({"tables": {"staying": [1, 2]}}, "tables.staying"),
+])
+def test_malformed_sections_exit_2_naming_the_section(tmp_path, capsys, document, section):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document))
+    code, out, err = _run(capsys, "share", "--scenario", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"{section}: must be a JSON object" in err
+
+
+def test_calibrate_plans_femtocache_only_when_observed(monkeypatch, capsys):
+    calls = []
+    original = placement.plan_scenario
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("emrcache") and getattr(module, "plan_scenario", None) is original:
+            monkeypatch.setattr(module, "plan_scenario", counting)
+    code, _, _ = _run(capsys, "calibrate")
+    assert code == 0
+    assert len(calls) == 2
+    calls.clear()
+    code, _, _ = _run(capsys, "calibrate", "--observation", "femtocache:best:16.59",
+                      "--observation", "baseline:worst:247.467")
+    assert code == 0
+    assert len(calls) == 3

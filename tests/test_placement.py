@@ -19,7 +19,7 @@ from emrcache.placement import (
 from emrcache.records import ALL_CLASSES, ALL_SUBSETS, FileClass, RecordSet, VideoMode
 from emrcache.scenario import reference_scenario
 
-from _oracles import naive_optimize, random_scenario
+from _oracles import naive_combo, naive_optimize, naive_size, naive_subsets, random_scenario
 
 TEXT, IMAGE, VIDEO = FileClass.TEXT, FileClass.IMAGE, FileClass.VIDEO
 
@@ -220,3 +220,51 @@ def test_penalty_tables_validation():
     tables = PenaltyTables.default()
     with pytest.raises(ValueError):
         tables.staying_for(2.5)
+
+
+def _brute_force_with_pins(device, records, video_mode, tables, mode, weights):
+    def combo(subset):
+        if subset in tables.combo:
+            return tables.combo[subset]
+        return naive_combo(subset, records, video_mode)
+
+    alpha = tables.staying[int(device.location.dwell_hours)]
+    best, best_key = None, None
+    for subset in naive_subsets():
+        if naive_size(subset, records, video_mode) > device.capacity_gb + 1e-9:
+            continue
+        excluded = [c for c in (TEXT, IMAGE, VIDEO) if c not in subset]
+        stay = alpha * len(excluded)
+        val = sum(tables.value[c] for c in excluded)
+        if mode is PlacementMode.OMISSION:
+            score = stay + val + combo(subset)
+        elif mode is PlacementMode.MIN_COMBO:
+            score = combo(subset)
+        else:
+            w_stay, w_value, w_combo = weights
+            score = w_stay * stay + w_value * val + w_combo * combo(subset)
+        key = (score, combo(subset))
+        if best_key is None or key < best_key:
+            best, best_key = subset, key
+    return best
+
+
+def test_pinned_combo_coefficients_drive_the_planner():
+    # Odd pins never equal each other or an (even) default coefficient, so
+    # every candidate's combination term is distinct and the winner unique.
+    rng = random.Random(2024)
+    modes = [PlacementMode.OMISSION, PlacementMode.MIN_COMBO, PlacementMode.CUSTOM]
+    for _ in range(300):
+        scenario = random_scenario(rng)
+        pinned = rng.sample(ALL_SUBSETS, rng.randint(1, len(ALL_SUBSETS)))
+        pins = dict(zip(pinned, rng.sample(range(1, 40, 2), len(pinned))))
+        tables = PenaltyTables(scenario.tables.staying, scenario.tables.value, pins)
+        for mode in modes:
+            weights = (tuple(rng.choice([0.0, 0.1, 0.3, 0.7, 1.0, 2.0]) for _ in range(3))
+                       if mode is PlacementMode.CUSTOM else None)
+            for device in scenario.devices:
+                got = optimize_device(device, scenario.records, tables, mode,
+                                      video_mode=scenario.video_mode, weights=weights)
+                want = _brute_force_with_pins(device, scenario.records, scenario.video_mode,
+                                              tables, mode, weights)
+                assert got == want, (mode, weights, pins, device, scenario.records)

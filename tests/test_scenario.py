@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from emrcache.records import ALL_CLASSES, FileClass
 from emrcache.scenario import (
@@ -150,3 +151,46 @@ def test_tables_combo_override_round_trips(tmp_path):
     path = tmp_path / "combo.json"
     save_scenario(scenario, path)
     assert load_scenario(path) == scenario
+
+
+_SECTION_KEYS = {
+    "records": ("text_gb", "image_gb", "video_conventional_gb", "video_dvs_gb"),
+    "rates": ("edge_rate", "macro_rate"),
+    "tables": ("staying", "value", "combo"),
+    "policy": ("host_requirement_gb", "guest_requirement_gb"),
+    "demand": ("home", "work", "family", "friend", "other"),
+}
+_ROW_KEYS = {"locations": ("name", "dwell_hours"), "devices": ("id", "capacity_gb", "location")}
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**1024)
+    | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8)
+
+
+def _section_values(key):
+    """Any JSON value, or one shaped by the section's real keys when it has them."""
+    if key in _SECTION_KEYS:
+        return _json_values | st.dictionaries(st.sampled_from(_SECTION_KEYS[key]),
+                                              _json_values, max_size=4)
+    if key in _ROW_KEYS:
+        return _json_values | st.lists(st.dictionaries(st.sampled_from(_ROW_KEYS[key]),
+                                                       _json_values, max_size=3), max_size=3)
+    return _json_values
+
+
+_documents = st.fixed_dictionaries({}, optional={
+    key: _section_values(key) for key in ("records", "video_mode", "locations", "devices",
+                                          "rates", "tables", "demand", "policy", "timeline")})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents)
+@example({"locations": [{"name": "a", "dwell_hours": 2**1024}]})
+def test_scenario_from_dict_raises_only_scenario_errors(document):
+    try:
+        scenario_from_dict(document)
+    except ScenarioError:
+        pass
