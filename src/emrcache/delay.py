@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .placement import AllocationPlan, PlacementMode, plan_scenario
 from .records import RecordSet, VideoMode, full_emr_size, subset_size
 
@@ -22,6 +20,8 @@ PROBABILITY_EPS = 1e-9
 MAX_PARTITIONS = 4096
 # `Generator.multinomial` takes its draw count as a signed 64-bit integer.
 MAX_SAMPLES = 2**63 - 1
+# 171! is beyond the float range, so the Poisson diagnostic stops at 170 terms.
+MAX_TRUNCATION = 170
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,8 @@ def calibrate_rates(observations) -> LinkRates:
     rates. Rejects systems that leave either rate unconstrained or solve to
     a non-positive rate.
     """
+    import numpy as np
+
     observations = list(observations)
     if not observations:
         raise ValueError("calibration needs at least one observation")
@@ -234,6 +236,8 @@ class MonteCarloConfig:
             raise ValueError(f"samples must be <= {MAX_SAMPLES} (MAX_SAMPLES)")
         if self.truncation < 0:
             raise ValueError("truncation must be >= 0")
+        if self.truncation > MAX_TRUNCATION:
+            raise ValueError(f"truncation must be <= {MAX_TRUNCATION} (MAX_TRUNCATION)")
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
         if self.partitions > MAX_PARTITIONS:
@@ -273,6 +277,8 @@ def monte_carlo_delay(plan: AllocationPlan, config: MonteCarloConfig, locations,
     fixed (seed, samples, partitions) triple regardless of how partitions
     are evaluated.
     """
+    import numpy as np
+
     report = expected_delay(plan, locations, rates)
     terms = np.array([t.best_minutes if case is DelayCase.BEST else t.worst_minutes
                       for t in report.terms], dtype=float)
@@ -304,14 +310,21 @@ def poisson_partial_sums(lambdas, truncation: int) -> tuple:
 
     Shows how quickly the occurrence weighting saturates to one, which is
     why the closed-form expectation can use the dwell probabilities
-    directly.
+    directly. A term beyond the float range raises ValueError: a truncation
+    above MAX_TRUNCATION, or a rate whose powers overflow.
     """
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
+    if truncation > MAX_TRUNCATION:
+        raise ValueError(f"truncation must be <= {MAX_TRUNCATION} (MAX_TRUNCATION)")
     out = []
     for lam in lambdas:
-        if lam < 0:
-            raise ValueError("rates must be >= 0")
-        out.append(sum(math.exp(-lam) * lam ** k / math.factorial(k)
-                       for k in range(truncation + 1)))
+        if not 0 <= lam < math.inf:
+            raise ValueError("rates must be finite and >= 0")
+        try:
+            out.append(sum(math.exp(-lam) * lam ** k / math.factorial(k)
+                           for k in range(truncation + 1)))
+        except OverflowError:
+            raise ValueError(f"rate {lam} overflows the Poisson terms up to "
+                             f"truncation {truncation}") from None
     return tuple(out)

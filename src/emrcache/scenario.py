@@ -157,6 +157,19 @@ def _check_keys(section: str, data, allowed=None) -> dict:
     return data
 
 
+def _ints_as_floats(section: str, data: dict) -> dict:
+    """`data` with its int values (bool aside) as floats, so an int beyond the float
+    range fails at load, naming the field, and not later in arithmetic."""
+    out = dict(data)
+    for key, value in data.items():
+        if isinstance(value, int) and not isinstance(value, bool):
+            try:
+                out[key] = float(value)
+            except OverflowError as exc:
+                raise ScenarioError(f"{section}.{key}: {exc}") from exc
+    return out
+
+
 def scenario_from_dict(data: dict) -> EdgeScenario:
     """Build and validate a scenario; omitted sections use reference defaults."""
     if not isinstance(data, dict):
@@ -167,7 +180,7 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
         if "records" in data:
             _check_keys("records", data["records"],
                         ("text_gb", "image_gb", "video_conventional_gb", "video_dvs_gb"))
-            records = RecordSet(**data["records"])
+            records = RecordSet(**_ints_as_floats("records", data["records"]))
         else:
             records = ref.records
 
@@ -201,7 +214,7 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
 
         if "rates" in data:
             _check_keys("rates", data["rates"], ("edge_rate", "macro_rate"))
-            rates = LinkRates(**data["rates"])
+            rates = LinkRates(**_ints_as_floats("rates", data["rates"]))
         else:
             rates = ref.rates
 
@@ -232,7 +245,7 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
         if "policy" in data:
             _check_keys("policy", data["policy"],
                         ("host_requirement_gb", "guest_requirement_gb"))
-            policy = SharingPolicy(**data["policy"])
+            policy = SharingPolicy(**_ints_as_floats("policy", data["policy"]))
         else:
             policy = ref.policy
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 _EPS = 1e-9
 # Largest capacity grid a sweep builds; each point is one output row.
 MAX_SWEEP_POINTS = 1_000_000
@@ -67,13 +65,14 @@ def capacity_sweep(min_gb: float, max_gb: float, step_gb: float,
         raise ValueError("sweep step must be positive")
     if min_gb > max_gb:
         raise ValueError("sweep min exceeds max")
-    # np.arange makes ceil(span) points; check that before building them.
+    # The grid runs to half a step past max_gb, so max_gb itself is on it
+    # despite rounding. It has ceil(span) points; check that before building.
     span = (max_gb + step_gb * 0.5 - min_gb) / step_gb
     if span > MAX_SWEEP_POINTS:
         raise ValueError(f"sweep grid exceeds the limit of {MAX_SWEEP_POINTS} points "
                          f"(MAX_SWEEP_POINTS); use a larger step")
-    capacities = np.arange(min_gb, max_gb + step_gb * 0.5, step_gb)
-    leftover = capacities - policy.host_requirement_gb
-    counts = np.where(capacities + _EPS < policy.host_requirement_gb, 0,
-                      1 + np.floor(leftover / policy.guest_requirement_gb + _EPS)).astype(int)
-    return list(zip(capacities.tolist(), counts.tolist()))
+    # Point i is min_gb + i * delta, where delta is the step as it rounds at
+    # min_gb; the tests pin these floats to an arange over the same bounds.
+    delta = (min_gb + step_gb) - min_gb
+    return [(capacity, patients_served(capacity, policy))
+            for capacity in (min_gb + i * delta for i in range(math.ceil(span)))]

@@ -1,11 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
 from emrcache import placement
 from emrcache.cli import main
-from emrcache.delay import MAX_PARTITIONS
+from emrcache.delay import MAX_PARTITIONS, MAX_TRUNCATION
 from emrcache.sharing import MAX_SWEEP_POINTS
 
 
@@ -245,3 +247,47 @@ def test_calibrate_plans_femtocache_only_when_observed(monkeypatch, capsys):
                       "--observation", "baseline:worst:247.467")
     assert code == 0
     assert len(calls) == 3
+
+
+def test_truncation_above_the_limit_exits_2_and_names_it(capsys):
+    argv = ("delay", "--monte-carlo", "--samples", "1000", "--format", "json", "--truncation")
+    code, out, err = _run(capsys, *argv, str(MAX_TRUNCATION + 1))
+    assert code == 2
+    assert out == ""
+    assert f"<= {MAX_TRUNCATION} (MAX_TRUNCATION)" in err
+    code, out, _ = _run(capsys, *argv, str(MAX_TRUNCATION))
+    assert code == 0
+    assert json.loads(out)["poisson_partial_sums"]["home"] == pytest.approx(1.0)
+
+
+# Runs one CLI command in a fresh interpreter and prints whether numpy was
+# loaded after `import emrcache`, after `import emrcache.cli`, and at exit.
+_NUMPY_PROBE = """
+import contextlib, io, sys
+import emrcache
+after_package = "numpy" in sys.modules
+import emrcache.cli
+after_cli = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = emrcache.cli.main(sys.argv[1:])
+print(code, after_package, after_cli, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    (["allocate"], False),
+    (["compare"], False),
+    (["share"], False),
+    (["sweep"], False),
+    (["dvs-size"], False),
+    (["report"], False),
+    (["delay", "--monte-carlo", "--samples", "1000"], True),
+    (["calibrate"], True),
+])
+def test_numpy_is_loaded_only_by_monte_carlo_and_calibrate(argv, loads_numpy):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "False", "False", str(loads_numpy)]

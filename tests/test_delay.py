@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from emrcache.delay import (
     DEFAULT_RATES,
+    MAX_TRUNCATION,
     DelayCase,
     DemandProfile,
     LinkRates,
@@ -321,6 +323,20 @@ def test_poisson_partial_sums_saturate():
         assert partial_high == pytest.approx(1.0)
     with pytest.raises(ValueError):
         poisson_partial_sums([0.5], -1)
+
+
+def test_poisson_partial_sums_raise_value_error_beyond_the_float_range():
+    # 171! and 1000.0 ** 170 are both beyond the float range.
+    with pytest.raises(ValueError, match="MAX_TRUNCATION"):
+        MonteCarloConfig(samples=10, truncation=MAX_TRUNCATION + 1)
+    with pytest.raises(ValueError, match="MAX_TRUNCATION"):
+        poisson_partial_sums([0.5], MAX_TRUNCATION + 1)
+    with pytest.raises(ValueError, match="overflows"):
+        poisson_partial_sums([1000.0], MAX_TRUNCATION)
+    for rate in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            poisson_partial_sums([rate], 1)
+    assert poisson_partial_sums([0.5], MAX_TRUNCATION)[0] == pytest.approx(1.0)
 
 
 def test_default_rates_ratio():

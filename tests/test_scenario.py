@@ -125,6 +125,17 @@ def test_invalid_rates_rejected():
         scenario_from_dict({"rates": {"edge_rate": 0.0, "macro_rate": 0.1}})
 
 
+@pytest.mark.parametrize("section,key", [
+    ("records", "text_gb"), ("records", "image_gb"), ("records", "video_conventional_gb"),
+    ("records", "video_dvs_gb"), ("rates", "edge_rate"), ("rates", "macro_rate"),
+    ("policy", "host_requirement_gb"), ("policy", "guest_requirement_gb"),
+])
+def test_integers_beyond_the_float_range_are_rejected_naming_the_field(section, key):
+    document = {section: dict(scenario_to_dict(reference_scenario())[section], **{key: 10**400})}
+    with pytest.raises(ScenarioError, match=rf"^{section}\.{key}: "):
+        scenario_from_dict(document)
+
+
 def test_custom_video_mode_and_demand_parse():
     scenario = scenario_from_dict({
         "video_mode": "conventional",

@@ -1,7 +1,9 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emrcache.scenario import reference_scenario
 from emrcache.sharing import (
@@ -91,6 +93,45 @@ def test_sweep_grid_above_the_limit_is_rejected_before_it_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def _assert_matches_arange(min_gb, max_gb, step_gb, policy):
+    series = capacity_sweep(min_gb, max_gb, step_gb, policy)
+    capacities = [capacity for capacity, _ in series]
+    assert capacities == np.arange(min_gb, max_gb + step_gb / 2, step_gb).tolist()
+    assert [count for _, count in series] == [patients_served(c, policy) for c in capacities]
+    return series
+
+
+@settings(max_examples=300, deadline=None)
+@given(min_gb=st.floats(-1e9, 1e9) | st.floats(-1.0, 1.0),
+       step_gb=st.floats(1e-6, 1e6, exclude_min=True),
+       points=st.floats(0.0, 2000.0),
+       host_gb=st.floats(0.5, 500.0),
+       guest_share=st.floats(0.001, 1.0))
+def test_sweep_grid_is_numpys_arange_and_counts_each_point(min_gb, step_gb, points,
+                                                          host_gb, guest_share):
+    policy = SharingPolicy(host_gb, host_gb * guest_share)
+    _assert_matches_arange(min_gb, min_gb + points * step_gb, step_gb, policy)
+
+
+@pytest.mark.parametrize("min_gb,max_gb,step_gb,length", [
+    (106.66, 600.0, 1.0, 494),  # the CLI's default grid
+    (106.66, 600.0, 0.001, 493_341),
+    (-37.5, 212.25, 0.75, 334),
+    (-1.0, -0.1, 0.1, 10),
+])
+def test_sweep_pinned_grids_match_numpys_arange(min_gb, max_gb, step_gb, length):
+    series = _assert_matches_arange(min_gb, max_gb, step_gb, SharingPolicy())
+    assert len(series) == length
+
+
+def test_sweep_grid_at_the_limit_is_built():
+    # 0, 1, ..., MAX_SWEEP_POINTS - 1 is exactly the limit; the grid one
+    # point longer is rejected in the test of the limit above.
+    series = capacity_sweep(0.0, float(MAX_SWEEP_POINTS - 1), 1.0, SharingPolicy())
+    assert len(series) == MAX_SWEEP_POINTS
+    assert series[-1][0] == MAX_SWEEP_POINTS - 1
 
 
 def test_policy_validation():
