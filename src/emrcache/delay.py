@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .placement import AllocationPlan, PlacementMode, plan_scenario
-from .records import RecordSet, VideoMode, full_emr_size, subset_size
+from .placement import AllocationPlan, PlacementMode, plan_scenario, subset_table
+from .records import ALL_CLASSES, RecordSet, VideoMode, full_emr_size
 
 PROBABILITY_EPS = 1e-9
 # One seed stream is spawned per partition; this caps what a config may ask for.
@@ -138,10 +138,12 @@ def baseline_delay(demand: DemandProfile, records: RecordSet, locations,
     _check_probabilities(locations)
     full = full_emr_size(records, VideoMode.CONVENTIONAL)
     t_worst = transfer_minutes(full, rates.macro_rate)
+    sizes = subset_table(records, VideoMode.CONVENTIONAL)
     terms = []
     best = worst = 0.0
     for loc in locations:
-        need = subset_size(demand.for_location(loc.name), records, VideoMode.CONVENTIONAL)
+        # Only file classes count toward a size, whatever iterable the demand holds.
+        need = sizes[ALL_CLASSES.intersection(demand.for_location(loc.name))][0]
         t_best = transfer_minutes(need, rates.macro_rate)
         terms.append(LocationTerm(loc.name, loc.probability, t_best, t_worst))
         best += loc.probability * t_best
@@ -183,8 +185,9 @@ def baseline_observation(demand: DemandProfile, records: RecordSet, locations,
     if case is DelayCase.WORST:
         macro = full_emr_size(records, VideoMode.CONVENTIONAL)
     else:
+        sizes = subset_table(records, VideoMode.CONVENTIONAL)
         macro = sum(loc.probability
-                    * subset_size(demand.for_location(loc.name), records, VideoMode.CONVENTIONAL)
+                    * sizes[ALL_CLASSES.intersection(demand.for_location(loc.name))][0]
                     for loc in locations)
     return RateObservation(0.0, macro, minutes)
 

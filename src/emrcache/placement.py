@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .records import (
@@ -102,7 +102,8 @@ class PenaltyTables:
 
     `staying` maps whole hours to a coefficient, `value` maps file classes,
     and `combo` optionally pins explicit combination coefficients; when it is
-    None the size-rank rule supplies them for any record sizes.
+    None the size-rank rule supplies them for any record sizes. The mappings
+    are read-only, so the tables can key the cached score rows.
     """
 
     staying: dict
@@ -119,13 +120,20 @@ class PenaltyTables:
         for c in CLASS_ORDER:
             if c not in value:
                 raise ValueError(f"tables.value must cover file class {c.value}")
-        object.__setattr__(self, "staying", staying)
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "staying", MappingProxyType(staying))
+        object.__setattr__(self, "value", MappingProxyType(value))
         if self.combo is not None:
             combo = {frozenset(k): int(v) for k, v in self.combo.items()}
-            object.__setattr__(self, "combo", combo)
+            object.__setattr__(self, "combo", MappingProxyType(combo))
+        # Hashed once: the tables key the score-row cache on every plan.
+        object.__setattr__(self, "_hash", hash(tuple(
+            None if m is None else frozenset(m.items()) for m in (staying, value, self.combo))))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
+    @lru_cache(maxsize=1)  # read-only, so every caller can share one
     def default(cls) -> "PenaltyTables":
         return cls({h: 25 - h for h in range(1, 25)}, dict(DEFAULT_VALUE_PENALTIES))
 
@@ -139,6 +147,15 @@ class PenaltyTables:
         if self.combo is not None and frozenset(subset) in self.combo:
             return self.combo[frozenset(subset)]
         return combo_penalty(subset, records, mode)
+
+
+@lru_cache(maxsize=4096)
+def score_rows(tables: PenaltyTables, records: RecordSet, video_mode: VideoMode) -> tuple:
+    """Per subset, in ALL_SUBSETS order: (subset, size GB, classes left out, value of
+    the classes left out, combination coefficient with the pins applied)."""
+    return tuple((s, size, len(ALL_CLASSES - s), sum(tables.value[c] for c in ALL_CLASSES - s),
+                  tables.combo_for(s, records, video_mode))
+                 for s, (size, _) in subset_table(records, video_mode).items())
 
 
 class PlacementMode(Enum):
@@ -198,31 +215,42 @@ def optimize_device(device: EdgeDevice, records: RecordSet, tables: PenaltyTable
     Exhaustive search over the feasible subsets. Each is scored as
     w_stay * (staying x classes left out) + w_value * (value of the classes
     left out) + w_combo * (combination coefficient), with the mode's weights;
-    score ties break toward the better combination rank, so the result is
-    deterministic. REFERENCE mode returns the published allocation and only
-    accepts the built-in layout.
+    ties break toward the better combination rank, then ALL_SUBSETS order, so
+    the result is deterministic. REFERENCE mode returns the published
+    allocation and only accepts the built-in layout.
     """
-    if mode is PlacementMode.REFERENCE:
-        if not is_reference_device(device, records, video_mode):
-            raise ValueError(
-                f"mode 'paper' only applies to the built-in scenario; device {device.id!r} differs")
-        return REFERENCE_ALLOCATION[device.id]
+    return _chooser(records, tables, mode, video_mode, weights)(device)
+
+
+def _chooser(records: RecordSet, tables: PenaltyTables, mode: PlacementMode,
+             video_mode: VideoMode, weights):
+    """optimize_device for one (tables, records, mode), fetching the score rows once."""
     if mode is PlacementMode.CUSTOM:
         if weights is None or len(weights) != 3 or not all(map(math.isfinite, weights)):
             raise ValueError("custom mode needs three finite weights (staying, value, combo)")
+    elif mode is not PlacementMode.REFERENCE:
+        weights = _MODE_WEIGHTS[mode]
+    rows = score_rows(tables, records, video_mode)
+
+    def choose(device):
+        if mode is PlacementMode.REFERENCE:
+            if not is_reference_device(device, records, video_mode):
+                raise ValueError(f"mode 'paper' only applies to the built-in scenario; "
+                                 f"device {device.id!r} differs")
+            return REFERENCE_ALLOCATION[device.id]
         w_stay, w_value, w_combo = weights
-    else:
-        w_stay, w_value, w_combo = _MODE_WEIGHTS[mode]
-    staying = tables.staying_for(device.location.dwell_hours)
-
-    def key(subset):
-        excluded = ALL_CLASSES - subset
-        value_term = sum(tables.value[c] for c in excluded)
-        combo = tables.combo_for(subset, records, video_mode)
-        return (w_stay * (staying * len(excluded)) + w_value * value_term + w_combo * combo,
-                combo)
-
-    return min(enumerate_feasible(device, records, video_mode), key=key)
+        staying = tables.staying_for(device.location.dwell_hours)
+        limit = device.capacity_gb + SIZE_EPS
+        best = best_key = None
+        for subset, size, left_out, value, combo in rows:
+            if size <= limit:
+                key = (w_stay * (staying * left_out) + w_value * value + w_combo * combo, combo)
+                if best_key is None or key < best_key:
+                    best, best_key = subset, key
+        if best is None:
+            raise ValueError(f"{device.id}: no subset fits capacity {device.capacity_gb}")
+        return best
+    return choose
 
 
 @dataclass(frozen=True)
@@ -244,11 +272,15 @@ class AllocationPlan:
     video_mode: VideoMode
     entries: tuple
 
+    @cached_property
+    def _by_location(self) -> dict:
+        return {entry.location: entry for entry in reversed(self.entries)}  # first one wins
+
     def entry_for(self, location_name: str) -> PlanEntry:
-        for entry in self.entries:
-            if entry.location == location_name:
-                return entry
-        raise ValueError(f"plan has no device for location {location_name!r}")
+        try:
+            return self._by_location[location_name]
+        except KeyError:
+            raise ValueError(f"plan has no device for location {location_name!r}") from None
 
     def by_device(self) -> dict:
         return {entry.device_id: entry for entry in self.entries}
@@ -258,10 +290,10 @@ def plan_scenario(scenario, mode: PlacementMode, weights=None) -> AllocationPlan
     """Optimize every device in the scenario and assemble the allocation."""
     table = subset_table(scenario.records, scenario.video_mode)
     full = table[ALL_CLASSES][0]
+    choose = _chooser(scenario.records, scenario.tables, mode, scenario.video_mode, weights)
     entries = []
     for device in scenario.devices:
-        subset = optimize_device(device, scenario.records, scenario.tables, mode,
-                                 video_mode=scenario.video_mode, weights=weights)
+        subset = choose(device)
         cached = table[subset][0]
         if cached > device.capacity_gb + SIZE_EPS:
             raise ValueError(f"{device.id}: cached {cached:.3f} GB exceeds capacity")

@@ -157,17 +157,20 @@ def _check_keys(section: str, data, allowed=None) -> dict:
     return data
 
 
+def _as_float(field: str, value) -> float:
+    """float(value), with an int beyond the float range rejected naming the field."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ScenarioError(f"{field}: {exc}") from exc
+
+
 def _ints_as_floats(section: str, data: dict) -> dict:
     """`data` with its int values (bool aside) as floats, so an int beyond the float
     range fails at load, naming the field, and not later in arithmetic."""
-    out = dict(data)
-    for key, value in data.items():
-        if isinstance(value, int) and not isinstance(value, bool):
-            try:
-                out[key] = float(value)
-            except OverflowError as exc:
-                raise ScenarioError(f"{section}.{key}: {exc}") from exc
-    return out
+    return {key: _as_float(f"{section}.{key}", value)
+            if isinstance(value, int) and not isinstance(value, bool) else value
+            for key, value in data.items()}
 
 
 def scenario_from_dict(data: dict) -> EdgeScenario:
@@ -190,7 +193,8 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
             locations = []
             for row in data["locations"]:
                 _check_keys("locations[]", row, ("name", "dwell_hours"))
-                locations.append(LocationProfile(str(row["name"]), float(row["dwell_hours"])))
+                locations.append(LocationProfile(str(row["name"]), _as_float(
+                    f"locations[{row['name']}].dwell_hours", row["dwell_hours"])))
             locations = tuple(locations)
         else:
             locations = ref.locations
@@ -204,8 +208,8 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
                 if loc_name not in by_name:
                     raise ScenarioError(
                         f"devices[{row.get('id')}].location: unknown location {loc_name!r}")
-                devices.append(EdgeDevice(str(row["id"]), float(row["capacity_gb"]),
-                                          by_name[loc_name]))
+                devices.append(EdgeDevice(str(row["id"]), _as_float(
+                    f"devices[{row['id']}].capacity_gb", row["capacity_gb"]), by_name[loc_name]))
             devices = tuple(devices)
         elif "locations" in data:
             raise ScenarioError("devices: required when locations are customized")
@@ -250,7 +254,8 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
             policy = ref.policy
 
         if "timeline" in data:
-            timeline = ActivityTimeline.from_pairs(data["timeline"])
+            timeline = ActivityTimeline.from_pairs(
+                (_as_float(f"timeline[{i}]", d), lv) for i, (d, lv) in enumerate(data["timeline"]))
         else:
             timeline = ref.timeline
     except ScenarioError:

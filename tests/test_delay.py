@@ -77,6 +77,25 @@ def test_expected_delay_validates_inputs():
         expected_delay(short_plan, scenario.locations, scenario.rates)
 
 
+def test_location_lookup_ignores_entry_order_and_names_a_missing_location():
+    scenario = reference_scenario()
+    plan = plan_scenario(scenario, PlacementMode.OMISSION)
+    flipped = AllocationPlan(plan.mode, plan.video_mode, plan.entries[::-1])
+    locations = scenario.locations
+    assert expected_delay(flipped, locations, scenario.rates) == expected_delay(
+        plan, locations, scenario.rates)
+    for case in DelayCase:
+        assert plan_observation(flipped, locations, case, 1.0) == plan_observation(
+            plan, locations, case, 1.0)
+    missing = AllocationPlan(plan.mode, plan.video_mode,
+                             tuple(e for e in plan.entries if e.location != "friend"))
+    message = r"^plan has no device for location 'friend'$"
+    with pytest.raises(ValueError, match=message):
+        expected_delay(missing, locations, scenario.rates)
+    with pytest.raises(ValueError, match=message):
+        plan_observation(missing, locations, DelayCase.BEST, 1.0)
+
+
 def test_femtocache_delay_reproduces_reported_numbers():
     scenario = reference_scenario()
     report = femtocache_delay(scenario)
@@ -109,6 +128,17 @@ def test_baseline_empty_demand_best_is_zero():
     demand = DemandProfile({loc.name: frozenset() for loc in scenario.locations})
     report = baseline_delay(demand, scenario.records, scenario.locations, scenario.rates)
     assert report.best_minutes == 0.0
+
+
+def test_baseline_accepts_any_iterable_demand_subset():
+    scenario = reference_scenario()
+    as_lists = DemandProfile({name: sorted(subset, key=lambda c: c.value)
+                              for name, subset in scenario.demand.requirements.items()})
+    args = (scenario.records, scenario.locations)
+    assert baseline_delay(as_lists, *args, scenario.rates) == baseline_delay(
+        scenario.demand, *args, scenario.rates)
+    assert baseline_observation(as_lists, *args, DelayCase.BEST, 1.0) == baseline_observation(
+        scenario.demand, *args, DelayCase.BEST, 1.0)
 
 
 def test_improvement_pct_examples():

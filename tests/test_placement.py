@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -268,3 +269,64 @@ def test_pinned_combo_coefficients_drive_the_planner():
                 want = _brute_force_with_pins(device, scenario.records, scenario.video_mode,
                                               tables, mode, weights)
                 assert got == want, (mode, weights, pins, device, scenario.records)
+
+
+def test_penalty_tables_hash_as_they_compare_and_cannot_be_mutated():
+    staying = {h: 25 - h for h in range(1, 25)}
+    pinned = PenaltyTables(staying, {TEXT: 2, IMAGE: 1, VIDEO: 3}, {frozenset({TEXT}): 5})
+    same = PenaltyTables({str(h): c for h, c in staying.items()},
+                         {"text": 2, "image": 1, "video": 3}, {frozenset({TEXT}): 5})
+    assert pinned == same and hash(pinned) == hash(same)
+    default = PenaltyTables(staying, {TEXT: 2, IMAGE: 1, VIDEO: 3})
+    assert default == PenaltyTables.default() and hash(default) == hash(PenaltyTables.default())
+    # The hash covers all three fields: tables one entry apart hash apart.
+    variants = _table_variants(default, 5)
+    assert len({hash(t) for t in variants}) == len(variants)
+    assert all(t != variants[0] for t in variants[1:])
+    for mapping, key in ((pinned.staying, 1), (pinned.value, TEXT),
+                         (pinned.combo, frozenset({TEXT}))):
+        with pytest.raises(TypeError):
+            mapping[key] = 0
+
+
+def _table_variants(tables, hour):
+    """The tables, then copies that differ in one staying entry, one value entry, one pin."""
+    staying, value = dict(tables.staying), dict(tables.value)
+    staying[hour] -= 30
+    value[VIDEO] -= 33
+    return [tables,
+            PenaltyTables(staying, tables.value),
+            PenaltyTables(tables.staying, value),
+            PenaltyTables(tables.staying, tables.value, {frozenset({TEXT, VIDEO}): 41})]
+
+
+def test_plans_track_tables_that_differ_in_one_entry():
+    # Alternating plans share the score-row cache; each must match the brute force
+    # for its own tables, never rows cached for a neighbour.
+    scenario = reference_scenario()
+    variants = _table_variants(scenario.tables, 2)  # device ED's dwell hours
+    rng = random.Random(77)
+    cases = [(scenario, variants)] + [
+        (s, _table_variants(s.tables, int(s.locations[0].dwell_hours)))
+        for s in (random_scenario(rng) for _ in range(40))]
+    plans = {}
+    for _ in range(2):
+        for base, tables_list in cases:
+            for tables in tables_list:
+                scenario_t = dataclasses.replace(base, tables=tables)
+                for mode in (PlacementMode.OMISSION, PlacementMode.CUSTOM):
+                    weights = (0.1, 0.3, 0.7) if mode is PlacementMode.CUSTOM else None
+                    plan = plan_scenario(scenario_t, mode, weights)
+                    for entry, device in zip(plan.entries, base.devices):
+                        if tables.combo is None:
+                            want = naive_optimize(device, base.records, base.video_mode,
+                                                  tables, mode, weights)
+                        else:
+                            want = _brute_force_with_pins(device, base.records,
+                                                          base.video_mode, tables, mode,
+                                                          weights)
+                        assert entry.subset == want, (mode, tables, device)
+                    if base is scenario and mode is PlacementMode.OMISSION:
+                        plans[tables] = tuple(e.subset for e in plan.entries)
+    # On the built-in scenario every variant changes the plan, so a stale row shows.
+    assert all(plans[tables] != plans[variants[0]] for tables in variants[1:])

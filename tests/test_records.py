@@ -96,3 +96,9 @@ def test_subset_labels_round_trip():
     assert parse_subset(["TEXT", " image "]) == frozenset({TEXT, IMAGE})
     with pytest.raises(ValueError):
         parse_subset(["sound"])
+
+
+def test_subset_label_joins_any_other_collection():
+    assert subset_label([VIDEO, TEXT]) == "text+video"
+    assert subset_label({IMAGE}) == "image"
+    assert subset_label(()) == "(none)"

@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -136,6 +139,18 @@ def test_integers_beyond_the_float_range_are_rejected_naming_the_field(section, 
         scenario_from_dict(document)
 
 
+@pytest.mark.parametrize("document,field", [
+    ({"locations": [{"name": "a", "dwell_hours": 2**1024}],
+      "devices": [{"id": "x", "capacity_gb": 1, "location": "a"}]}, "locations[a].dwell_hours"),
+    ({"locations": [{"name": "a", "dwell_hours": 24}],
+      "devices": [{"id": "x", "capacity_gb": 10**400, "location": "a"}]}, "devices[x].capacity_gb"),
+    ({"timeline": [[10**400, "fast"]]}, "timeline[0]"),
+])
+def test_integers_beyond_the_float_range_in_rows_name_the_field(document, field):
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"{field}: int too large")):
+        scenario_from_dict(document)
+
+
 def test_custom_video_mode_and_demand_parse():
     scenario = scenario_from_dict({
         "video_mode": "conventional",
@@ -205,3 +220,60 @@ def test_scenario_from_dict_raises_only_scenario_errors(document):
         scenario_from_dict(document)
     except ScenarioError:
         pass
+
+
+_CLASS_NAMES = ("text", "image", "video")
+_LABELS = ("(none)", "text", "image", "video", "text+image", "text+video", "image+video",
+           "text+image+video")
+_gb = st.floats(min_value=0, max_value=1e4, allow_nan=False) | st.integers(0, 10**4)
+
+
+@st.composite
+def _valid_documents(draw):
+    """Scenario documents that load: a location layout with whole dwell hours summing
+    to 24, one device per location, and optional tables, demand, policy and timeline."""
+    count = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(1, 23), min_size=count - 1, max_size=count - 1,
+                                unique=True)))
+    dwell = [b - a for a, b in zip([0] + cuts, cuts + [24])]
+    names = draw(st.lists(st.text(max_size=6), min_size=count, max_size=count, unique=True))
+    ids = draw(st.lists(st.text(max_size=4), min_size=count, max_size=count, unique=True))
+    conventional = draw(_gb)
+    document = {
+        "records": {"text_gb": draw(_gb), "image_gb": draw(_gb),
+                    "video_conventional_gb": conventional,
+                    "video_dvs_gb": draw(st.floats(0, 1)) * conventional},
+        "video_mode": draw(st.sampled_from(["dvs", "conventional"])),
+        "locations": [{"name": n, "dwell_hours": h} for n, h in zip(names, dwell)],
+        "devices": [{"id": i, "capacity_gb": draw(_gb), "location": n}
+                    for i, n in zip(ids, draw(st.permutations(names)))],
+        "rates": {"edge_rate": draw(st.floats(1e-3, 10)), "macro_rate": draw(st.floats(1e-3, 10))},
+    }
+    coefficient = st.integers(-100, 100)
+    if draw(st.booleans()):
+        document["tables"] = {
+            "staying": {str(h): draw(coefficient) for h in range(0, 26)},
+            "value": {c: draw(coefficient) for c in _CLASS_NAMES},
+            "combo": draw(st.none() | st.dictionaries(st.sampled_from(_LABELS), coefficient)),
+        }
+    if draw(st.booleans()):
+        document["demand"] = {n: draw(st.lists(st.sampled_from(_CLASS_NAMES), unique=True))
+                              for n in names}
+    guest = draw(st.floats(0.1, 50))
+    document["policy"] = {"guest_requirement_gb": guest,
+                          "host_requirement_gb": guest + draw(st.floats(0, 500))}
+    document["timeline"] = draw(st.lists(st.tuples(
+        st.floats(0, 1e5), st.sampled_from(["none", "slow", "fast"])).map(list), max_size=4))
+    return document
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_documents())
+def test_save_then_load_is_the_identity(document):
+    scenario = scenario_from_dict(document)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        save_scenario(scenario, path)
+        loaded = load_scenario(path)
+    assert loaded == scenario
+    assert scenario_digest(loaded) == scenario_digest(scenario)
