@@ -28,7 +28,6 @@ from .delay import (
 from .dvs import (
     ActivityTimeline,
     MotionLevel,
-    SensorKind,
     SensorModel,
     dvs_scale,
     event_volume,

@@ -20,9 +20,11 @@ from .delay import (
     femtocache_plan,
     monte_carlo_delay,
     plan_observation,
-    poisson_partial_sums,
 )
 from .dvs import (
+    CIF_FRAME_BITRATE_BPS,
+    EVENT_FAST_BITRATE_BPS,
+    EVENT_SLOW_BITRATE_BPS,
     ActivityTimeline,
     SensorModel,
     event_volume,
@@ -135,7 +137,7 @@ def cmd_delay(args, scenario) -> Emission:
         if plan is None:
             raise ValueError("monte carlo estimation needs a plan-based scheme (edge or femtocache)")
         config = MonteCarloConfig(samples=args.samples, seed=args.seed,
-                                  truncation=args.truncation, partitions=args.partitions)
+                                  partitions=args.partitions)
         mc_rows = []
         payload["monte_carlo"] = {}
         for case in cases:
@@ -146,10 +148,6 @@ def cmd_delay(args, scenario) -> Emission:
                 "partitions": result.partitions}
             mc_rows.append([case.value, fmt_minutes(result.minutes),
                             f"{result.std_error:.6f}", str(result.samples)])
-        partials = poisson_partial_sums([loc.probability for loc in scenario.locations],
-                                        config.truncation)
-        payload["poisson_partial_sums"] = {
-            loc.name: p for loc, p in zip(scenario.locations, partials)}
         emission.tables.append(("monte carlo", ["case", "minutes", "std_error", "samples"],
                                 mc_rows))
     return emission
@@ -346,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--partitions", type=int, default=1)
-    p.add_argument("--truncation", type=int, default=20)
     p.set_defaults(handler=cmd_delay)
 
     p = commands.add_parser("compare", help="all schemes plus the improvement matrix")
@@ -372,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--timeline", default=None,
                    help="CSV of duration_seconds,level rows (default: scenario timeline)")
-    p.add_argument("--frame-kbps", type=float, default=512.0)
-    p.add_argument("--fast-kbps", type=float, default=256.0)
-    p.add_argument("--slow-kbps", type=float, default=64.0)
+    p.add_argument("--frame-kbps", type=float, default=CIF_FRAME_BITRATE_BPS / 1e3)
+    p.add_argument("--fast-kbps", type=float, default=EVENT_FAST_BITRATE_BPS / 1e3)
+    p.add_argument("--slow-kbps", type=float, default=EVENT_SLOW_BITRATE_BPS / 1e3)
     p.set_defaults(handler=cmd_dvs_size)
 
     p = commands.add_parser("calibrate", help="recover link rates from reported delays")

@@ -20,8 +20,6 @@ PROBABILITY_EPS = 1e-9
 MAX_PARTITIONS = 4096
 # `Generator.multinomial` takes its draw count as a signed 64-bit integer.
 MAX_SAMPLES = 2**63 - 1
-# 171! is beyond the float range, so the Poisson diagnostic stops at 170 terms.
-MAX_TRUNCATION = 170
 
 
 @dataclass(frozen=True)
@@ -222,14 +220,12 @@ class MonteCarloConfig:
     """Sampling setup for the stochastic delay estimate.
 
     `dwell_rates` overrides the per-location weights (defaults to the dwell
-    probabilities). `truncation` caps the occurrence count in the Poisson
-    saturation diagnostic only; it does not alter the estimator.
+    probabilities).
     """
 
     samples: int
     seed: int = 0
     dwell_rates: tuple | None = None
-    truncation: int = 20
     partitions: int = 1
 
     def __post_init__(self):
@@ -237,10 +233,6 @@ class MonteCarloConfig:
             raise ValueError("samples must be positive")
         if self.samples > MAX_SAMPLES:
             raise ValueError(f"samples must be <= {MAX_SAMPLES} (MAX_SAMPLES)")
-        if self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        if self.truncation > MAX_TRUNCATION:
-            raise ValueError(f"truncation must be <= {MAX_TRUNCATION} (MAX_TRUNCATION)")
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
         if self.partitions > MAX_PARTITIONS:
@@ -306,28 +298,3 @@ def monte_carlo_delay(plan: AllocationPlan, config: MonteCarloConfig, locations,
     mean = shift + float(counts @ (terms - shift)) / n
     variance = float(counts @ (terms - mean) ** 2) / (n - 1) if n > 1 else 0.0
     return MonteCarloResult(mean, math.sqrt(variance / n), n, config.seed, config.partitions)
-
-
-def poisson_partial_sums(lambdas, truncation: int) -> tuple:
-    """Partial sums of the Poisson pmf up to the occurrence cap, per rate.
-
-    Shows how quickly the occurrence weighting saturates to one, which is
-    why the closed-form expectation can use the dwell probabilities
-    directly. A term beyond the float range raises ValueError: a truncation
-    above MAX_TRUNCATION, or a rate whose powers overflow.
-    """
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    if truncation > MAX_TRUNCATION:
-        raise ValueError(f"truncation must be <= {MAX_TRUNCATION} (MAX_TRUNCATION)")
-    out = []
-    for lam in lambdas:
-        if not 0 <= lam < math.inf:
-            raise ValueError("rates must be finite and >= 0")
-        try:
-            out.append(sum(math.exp(-lam) * lam ** k / math.factorial(k)
-                           for k in range(truncation + 1)))
-        except OverflowError:
-            raise ValueError(f"rate {lam} overflows the Poisson terms up to "
-                             f"truncation {truncation}") from None
-    return tuple(out)

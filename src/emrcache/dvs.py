@@ -8,8 +8,9 @@ changes, so its output is driven by a motion-activity timeline.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+import math
+from dataclasses import dataclass
+from enum import IntEnum
 
 CIF_FRAME_BITRATE_BPS = 512e3  # standard surveillance-resolution stream
 EVENT_FAST_BITRATE_BPS = 256e3  # event camera under fast motion
@@ -43,8 +44,8 @@ class ActivityTimeline:
     def __post_init__(self):
         norm = []
         for duration, level in self.segments:
-            if duration < 0:
-                raise ValueError("timeline segment durations must be >= 0")
+            if not 0 <= duration < math.inf:
+                raise ValueError("timeline segment durations must be finite and >= 0")
             norm.append((float(duration), MotionLevel(level)))
         object.__setattr__(self, "segments", tuple(norm))
 
@@ -78,62 +79,44 @@ class ActivityTimeline:
         return cls.from_pairs(pairs)
 
 
-class SensorKind(Enum):
-    FRAME_BASED = "frame"
-    EVENT_BASED = "event"
-
-
 @dataclass(frozen=True)
 class SensorModel:
-    """A camera's data-rate behaviour.
+    """An event camera's bitrate per motion level.
 
-    Frame-based sensors use a single constant bitrate. Event-based sensors
-    map each motion level to a bitrate; no motion means no samples at all,
-    and faster motion never samples slower.
+    No motion means no samples at all, and faster motion never samples
+    slower. A frame camera needs no model: see `frame_volume`.
     """
 
-    kind: SensorKind
-    frame_bitrate_bps: float = CIF_FRAME_BITRATE_BPS
-    event_rates_bps: dict = field(default_factory=dict)
+    event_rates_bps: dict
 
     def __post_init__(self):
-        if self.frame_bitrate_bps < 0:
-            raise ValueError("frame_bitrate_bps must be >= 0")
-        if self.kind is SensorKind.EVENT_BASED:
-            rates = {MotionLevel(k): float(v) for k, v in self.event_rates_bps.items()}
-            for level in MotionLevel:
-                if level not in rates:
-                    raise ValueError(f"event_rates_bps missing level {level.name}")
-                if rates[level] < 0:
-                    raise ValueError("event rates must be >= 0")
-            if rates[MotionLevel.NONE] != 0:
-                raise ValueError("an event sensor emits nothing when nothing changes")
-            if rates[MotionLevel.SLOW] > rates[MotionLevel.FAST]:
-                raise ValueError("slow-motion rate cannot exceed fast-motion rate")
-            object.__setattr__(self, "event_rates_bps", rates)
-
-    @classmethod
-    def frame_based(cls, bitrate_bps: float = CIF_FRAME_BITRATE_BPS) -> "SensorModel":
-        return cls(SensorKind.FRAME_BASED, frame_bitrate_bps=bitrate_bps)
+        rates = {MotionLevel(k): float(v) for k, v in self.event_rates_bps.items()}
+        for level in MotionLevel:
+            if level not in rates:
+                raise ValueError(f"event_rates_bps missing level {level.name}")
+            if not 0 <= rates[level] < math.inf:
+                raise ValueError("event rates must be finite and >= 0")
+        if rates[MotionLevel.NONE] != 0:
+            raise ValueError("an event sensor emits nothing when nothing changes")
+        if rates[MotionLevel.SLOW] > rates[MotionLevel.FAST]:
+            raise ValueError("slow-motion rate cannot exceed fast-motion rate")
+        object.__setattr__(self, "event_rates_bps", rates)
 
     @classmethod
     def event_based(cls, fast_bps: float = EVENT_FAST_BITRATE_BPS,
                     slow_bps: float = EVENT_SLOW_BITRATE_BPS) -> "SensorModel":
-        return cls(SensorKind.EVENT_BASED, event_rates_bps={
-            MotionLevel.NONE: 0.0, MotionLevel.SLOW: slow_bps, MotionLevel.FAST: fast_bps})
+        return cls({MotionLevel.NONE: 0.0, MotionLevel.SLOW: slow_bps, MotionLevel.FAST: fast_bps})
 
 
 def frame_volume(bitrate_bps: float, duration_s: float) -> float:
     """Bytes recorded by a constant-bitrate camera: bitrate x duration / 8."""
-    if bitrate_bps < 0 or duration_s < 0:
-        raise ValueError("bitrate and duration must be >= 0")
+    if not (0 <= bitrate_bps < math.inf and 0 <= duration_s < math.inf):
+        raise ValueError("bitrate and duration must be finite and >= 0")
     return bitrate_bps * duration_s / 8.0
 
 
 def event_volume(timeline: ActivityTimeline, model: SensorModel) -> float:
     """Bytes an event camera records over a motion timeline."""
-    if model.kind is not SensorKind.EVENT_BASED:
-        raise ValueError("event_volume needs an event-based sensor model")
     return sum(model.event_rates_bps[level] * duration / 8.0
                for duration, level in timeline.segments)
 

@@ -228,6 +228,8 @@ def _chooser(records: RecordSet, tables: PenaltyTables, mode: PlacementMode,
     if mode is PlacementMode.CUSTOM:
         if weights is None or len(weights) != 3 or not all(map(math.isfinite, weights)):
             raise ValueError("custom mode needs three finite weights (staying, value, combo)")
+    elif weights is not None:
+        raise ValueError("weights apply only to custom mode")
     elif mode is not PlacementMode.REFERENCE:
         weights = _MODE_WEIGHTS[mode]
     rows = score_rows(tables, records, video_mode)

@@ -233,7 +233,7 @@ def csv_text(headers, rows) -> str:
 
 
 def json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_csv(path, headers, rows) -> None:

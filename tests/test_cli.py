@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import pytest
 
 from emrcache import placement
 from emrcache.cli import main
-from emrcache.delay import MAX_PARTITIONS, MAX_TRUNCATION
+from emrcache.delay import MAX_PARTITIONS
+from emrcache.report import json_text
 from emrcache.sharing import MAX_SWEEP_POINTS
 
 
@@ -103,7 +105,6 @@ def test_delay_monte_carlo_is_seeded(capsys):
     payload = json.loads(first)
     mc = payload["monte_carlo"]["best"]
     assert abs(mc["minutes"] - payload["report"]["best_minutes"]) <= 3 * mc["std_error"]
-    assert payload["poisson_partial_sums"]["home"] == pytest.approx(1.0)
 
 
 def test_monte_carlo_rejected_for_baseline(capsys):
@@ -249,15 +250,35 @@ def test_calibrate_plans_femtocache_only_when_observed(monkeypatch, capsys):
     assert len(calls) == 3
 
 
-def test_truncation_above_the_limit_exits_2_and_names_it(capsys):
-    argv = ("delay", "--monte-carlo", "--samples", "1000", "--format", "json", "--truncation")
-    code, out, err = _run(capsys, *argv, str(MAX_TRUNCATION + 1))
+@pytest.mark.parametrize("mode", ["omission", "paper", "min-combo", None])
+def test_weights_outside_custom_mode_exit_2(capsys, mode):
+    argv = ["allocate", "--weights", "9,9,9"] + (["--mode", mode] if mode else [])
+    code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert f"<= {MAX_TRUNCATION} (MAX_TRUNCATION)" in err
-    code, out, _ = _run(capsys, *argv, str(MAX_TRUNCATION))
-    assert code == 0
-    assert json.loads(out)["poisson_partial_sums"]["home"] == pytest.approx(1.0)
+    assert "weights apply only to custom mode" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("flag,value", [
+    ("--fast-kbps", "nan"), ("--fast-kbps", "inf"),
+    ("--frame-kbps", "nan"), ("--frame-kbps", "inf"),
+    ("timeline", "nan,fast"), ("timeline", "inf,fast"),
+])
+def test_dvs_size_rejects_non_finite_input(tmp_path, capsys, flag, value, fmt):
+    if flag == "timeline":
+        path = tmp_path / "timeline.csv"
+        path.write_text(f"duration_seconds,level\n{value}\n100,slow\n")
+        flag, value = "--timeline", str(path)
+    code, out, err = _run(capsys, "dvs-size", "--format", fmt, flag, value)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_json_text_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        json_text({"minutes": math.nan})
 
 
 # Runs one CLI command in a fresh interpreter and prints whether numpy was

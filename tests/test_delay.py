@@ -1,11 +1,9 @@
-import math
 import random
 
 import pytest
 
 from emrcache.delay import (
     DEFAULT_RATES,
-    MAX_TRUNCATION,
     DelayCase,
     DemandProfile,
     LinkRates,
@@ -18,7 +16,6 @@ from emrcache.delay import (
     improvement_pct,
     monte_carlo_delay,
     plan_observation,
-    poisson_partial_sums,
     transfer_minutes,
 )
 from emrcache.placement import AllocationPlan, PlacementMode, PlanEntry, plan_scenario
@@ -337,36 +334,9 @@ def test_monte_carlo_config_validation():
     with pytest.raises(ValueError):
         MonteCarloConfig(samples=0)
     with pytest.raises(ValueError):
-        MonteCarloConfig(samples=10, truncation=-1)
-    with pytest.raises(ValueError):
         MonteCarloConfig(samples=10, partitions=0)
     with pytest.raises(ValueError):
         MonteCarloConfig(samples=10, dwell_rates=(0.0, 0.0))
-
-
-def test_poisson_partial_sums_saturate():
-    lambdas = [loc.probability for loc in reference_scenario().locations]
-    low = poisson_partial_sums(lambdas, 0)
-    high = poisson_partial_sums(lambdas, 20)
-    for partial_low, partial_high in zip(low, high):
-        assert partial_low < partial_high <= 1.0 + 1e-12
-        assert partial_high == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        poisson_partial_sums([0.5], -1)
-
-
-def test_poisson_partial_sums_raise_value_error_beyond_the_float_range():
-    # 171! and 1000.0 ** 170 are both beyond the float range.
-    with pytest.raises(ValueError, match="MAX_TRUNCATION"):
-        MonteCarloConfig(samples=10, truncation=MAX_TRUNCATION + 1)
-    with pytest.raises(ValueError, match="MAX_TRUNCATION"):
-        poisson_partial_sums([0.5], MAX_TRUNCATION + 1)
-    with pytest.raises(ValueError, match="overflows"):
-        poisson_partial_sums([1000.0], MAX_TRUNCATION)
-    for rate in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            poisson_partial_sums([rate], 1)
-    assert poisson_partial_sums([0.5], MAX_TRUNCATION)[0] == pytest.approx(1.0)
 
 
 def test_default_rates_ratio():

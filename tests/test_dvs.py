@@ -5,7 +5,6 @@ import pytest
 from emrcache.dvs import (
     ActivityTimeline,
     MotionLevel,
-    SensorKind,
     SensorModel,
     dvs_scale,
     event_volume,
@@ -33,11 +32,6 @@ def test_event_volume_examples():
     assert event_volume(single, sensor) == pytest.approx(1.152e8)
 
 
-def test_event_volume_rejects_frame_models():
-    with pytest.raises(ValueError):
-        event_volume(sleep_night_timeline(), SensorModel.frame_based())
-
-
 def test_dvs_scale_examples():
     assert dvs_scale(200.0, 1.0 / 12.0) == pytest.approx(16.667, abs=0.01)
     assert dvs_scale(0.0, 0.37) == 0.0
@@ -50,12 +44,12 @@ def test_dvs_scale_examples():
 
 def test_sensor_model_invariants():
     with pytest.raises(ValueError):
-        SensorModel(SensorKind.EVENT_BASED, event_rates_bps={
+        SensorModel(event_rates_bps={
             MotionLevel.NONE: 10.0, MotionLevel.SLOW: 20.0, MotionLevel.FAST: 30.0})
     with pytest.raises(ValueError):
         SensorModel.event_based(fast_bps=10e3, slow_bps=20e3)
     with pytest.raises(ValueError):
-        SensorModel(SensorKind.EVENT_BASED, event_rates_bps={MotionLevel.NONE: 0.0})
+        SensorModel(event_rates_bps={MotionLevel.NONE: 0.0})
 
 
 def _random_timeline(rng, levels=tuple(MotionLevel)):
