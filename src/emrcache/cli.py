@@ -184,7 +184,8 @@ def cmd_share(args, scenario) -> Emission:
 
 def cmd_sweep(args, scenario) -> Emission:
     min_gb = args.min_gb if args.min_gb is not None else scenario.policy.host_requirement_gb
-    series = capacity_sweep(min_gb, args.max_gb, args.step_gb, scenario.policy)
+    max_gb = args.max_gb if args.max_gb is not None else max(600.0, min_gb)
+    series = capacity_sweep(min_gb, max_gb, args.step_gb, scenario.policy)
     payload = {"digest": scenario_digest(scenario),
                "series": [{"capacity_gb": c, "patients": p} for c, p in series]}
     headers = ["capacity_gb", "patients"]
@@ -361,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, default_format="csv")
     p.add_argument("--min-gb", type=float, default=None,
                    help="grid start (default: the host requirement)")
-    p.add_argument("--max-gb", type=float, default=600.0)
+    p.add_argument("--max-gb", type=float, default=None,
+                   help="grid end (default: 600, or the start when that is larger)")
     p.add_argument("--step-gb", type=float, default=1.0)
     p.set_defaults(handler=cmd_sweep)
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .placement import AllocationPlan, PlacementMode, plan_scenario, subset_table
-from .records import ALL_CLASSES, RecordSet, VideoMode, full_emr_size
+from .records import FileClass, RecordSet, VideoMode, full_emr_size
 
 PROBABILITY_EPS = 1e-9
 # One seed stream is spawned per partition; this caps what a config may ask for.
@@ -45,9 +46,17 @@ class DelayCase(Enum):
 
 @dataclass(frozen=True)
 class DemandProfile:
-    """What the nearest hospital needs at each location (subset per location)."""
+    """What the nearest hospital needs at each location: a read-only mapping from
+    location name to a frozenset of file classes, so a profile can be shared."""
 
     requirements: dict
+
+    def __post_init__(self):
+        requirements = {name: frozenset(subset) for name, subset in self.requirements.items()}
+        for name, subset in requirements.items():
+            if not all(isinstance(c, FileClass) for c in subset):
+                raise ValueError(f"demand[{name}]: a subset holds file classes only")
+        object.__setattr__(self, "requirements", MappingProxyType(requirements))
 
     def for_location(self, name: str) -> frozenset:
         try:
@@ -140,8 +149,7 @@ def baseline_delay(demand: DemandProfile, records: RecordSet, locations,
     terms = []
     best = worst = 0.0
     for loc in locations:
-        # Only file classes count toward a size, whatever iterable the demand holds.
-        need = sizes[ALL_CLASSES.intersection(demand.for_location(loc.name))][0]
+        need = sizes[demand.for_location(loc.name)][0]
         t_best = transfer_minutes(need, rates.macro_rate)
         terms.append(LocationTerm(loc.name, loc.probability, t_best, t_worst))
         best += loc.probability * t_best
@@ -184,8 +192,7 @@ def baseline_observation(demand: DemandProfile, records: RecordSet, locations,
         macro = full_emr_size(records, VideoMode.CONVENTIONAL)
     else:
         sizes = subset_table(records, VideoMode.CONVENTIONAL)
-        macro = sum(loc.probability
-                    * sizes[ALL_CLASSES.intersection(demand.for_location(loc.name))][0]
+        macro = sum(loc.probability * sizes[demand.for_location(loc.name)][0]
                     for loc in locations)
     return RateObservation(0.0, macro, minutes)
 

@@ -42,7 +42,7 @@ class ImprovementRow:
     case: DelayCase
     reference_minutes: float
     new_minutes: float
-    pct: float
+    pct: float | None  # None against a zero reference delay: no improvement is defined
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,9 @@ def improvement_rows(schemes: dict) -> tuple:
     for ref_label in (SCHEME_FEMTO, SCHEME_BASELINE):
         ref = schemes[ref_label]
         for case in (DelayCase.BEST, DelayCase.WORST):
-            rows.append(ImprovementRow(
-                ref_label, case, ref.minutes(case), edge.minutes(case),
-                improvement_pct(ref.minutes(case), edge.minutes(case))))
+            ref_minutes, new_minutes = ref.minutes(case), edge.minutes(case)
+            pct = improvement_pct(ref_minutes, new_minutes) if ref_minutes > 0 else None
+            rows.append(ImprovementRow(ref_label, case, ref_minutes, new_minutes, pct))
     return tuple(rows)
 
 
@@ -181,7 +181,8 @@ def schemes_to_rows(items) -> list:
 
 def improvements_to_rows(improvements) -> list:
     return [[r.reference_scheme, r.case.value, fmt_minutes(r.reference_minutes),
-             fmt_minutes(r.new_minutes), f"{r.pct:.2f}"] for r in improvements]
+             fmt_minutes(r.new_minutes), "n/a" if r.pct is None else f"{r.pct:.2f}"]
+            for r in improvements]
 
 
 def sharing_to_rows(summary: SharingSummary) -> list:

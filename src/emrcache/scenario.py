@@ -2,7 +2,7 @@
 
 A scenario file is a single JSON document with top-level keys `records`,
 `video_mode`, `locations`, `devices`, `rates`, `tables`, `demand`, `policy`
-and `timeline`. Omitted keys fall back to the built-in reference scenario;
+and `timeline`. Omitted keys keep the built-in reference scenario's section;
 unknown keys are rejected so typos fail loudly.
 """
 
@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 from .delay import DEFAULT_RATES, DemandProfile, LinkRates
 from .dvs import ActivityTimeline, MotionLevel, sleep_night_timeline
@@ -74,6 +75,7 @@ _REFERENCE_DEMAND = {
 }
 
 
+@lru_cache(maxsize=1)  # every section is read-only, so every caller can share one
 def reference_scenario() -> EdgeScenario:
     """The built-in five-location scenario with calibrated link rates."""
     locations = []
@@ -89,7 +91,7 @@ def reference_scenario() -> EdgeScenario:
         devices=tuple(devices),
         rates=DEFAULT_RATES,
         tables=PenaltyTables.default(),
-        demand=DemandProfile(dict(_REFERENCE_DEMAND)),
+        demand=DemandProfile(_REFERENCE_DEMAND),
         policy=SharingPolicy(),
         timeline=sleep_night_timeline(),
     )
@@ -143,10 +145,6 @@ def validate(scenario: EdgeScenario) -> list:
     return violations
 
 
-_TOP_KEYS = ("records", "video_mode", "locations", "devices", "rates", "tables",
-             "demand", "policy", "timeline")
-
-
 def _check_keys(section: str, data, allowed=None) -> dict:
     """`data`, once it is a JSON object with no keys outside `allowed` (None allows any)."""
     if not isinstance(data, dict):
@@ -165,42 +163,47 @@ def _as_float(field: str, value) -> float:
         raise ScenarioError(f"{field}: {exc}") from exc
 
 
-def _ints_as_floats(section: str, data: dict) -> dict:
-    """`data` with its int values (bool aside) as floats, so an int beyond the float
-    range fails at load, naming the field, and not later in arithmetic."""
-    return {key: _as_float(f"{section}.{key}", value)
-            if isinstance(value, int) and not isinstance(value, bool) else value
-            for key, value in data.items()}
+def _flat_section(section: str, data, cls):
+    """`cls` built from `data`, a JSON object keyed by `cls`'s fields. Its int values
+    (bool aside) become floats, so an int beyond the float range fails at load,
+    naming the field, and not later in arithmetic."""
+    _check_keys(section, data, [f.name for f in fields(cls)])
+    return cls(**{key: _as_float(f"{section}.{key}", value)
+                  if isinstance(value, int) and not isinstance(value, bool) else value
+                  for key, value in data.items()})
+
+
+def _flat_dict(obj) -> dict:
+    """The JSON form of a `_flat_section` value: each field as a float."""
+    return {f.name: float(getattr(obj, f.name)) for f in fields(obj)}
+
+
+# Each penalty table, and what turns one of its JSON keys into a table key (staying
+# keys pass through: PenaltyTables reads them as whole hours).
+_TABLE_KEYS = {"staying": lambda hour: hour, "value": FileClass, "combo": parse_subset}
 
 
 def scenario_from_dict(data: dict) -> EdgeScenario:
-    """Build and validate a scenario; omitted sections use reference defaults."""
+    """Build and validate a scenario; omitted sections keep the reference scenario's."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _check_keys("scenario", data, _TOP_KEYS)
+    _check_keys("scenario", data, [f.name for f in fields(EdgeScenario)])
     ref = reference_scenario()
+    given = {}
     try:
         if "records" in data:
-            _check_keys("records", data["records"],
-                        ("text_gb", "image_gb", "video_conventional_gb", "video_dvs_gb"))
-            records = RecordSet(**_ints_as_floats("records", data["records"]))
-        else:
-            records = ref.records
-
-        video_mode = VideoMode(data.get("video_mode", ref.video_mode.value))
-
+            given["records"] = _flat_section("records", data["records"], RecordSet)
+        if "video_mode" in data:
+            given["video_mode"] = VideoMode(data["video_mode"])
         if "locations" in data:
             locations = []
             for row in data["locations"]:
                 _check_keys("locations[]", row, ("name", "dwell_hours"))
                 locations.append(LocationProfile(str(row["name"]), _as_float(
                     f"locations[{row['name']}].dwell_hours", row["dwell_hours"])))
-            locations = tuple(locations)
-        else:
-            locations = ref.locations
-        by_name = {loc.name: loc for loc in locations}
-
+            given["locations"] = tuple(locations)
         if "devices" in data:
+            by_name = {loc.name: loc for loc in given.get("locations", ref.locations)}
             devices = []
             for row in data["devices"]:
                 _check_keys("devices[]", row, ("id", "capacity_gb", "location"))
@@ -210,61 +213,35 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
                         f"devices[{row.get('id')}].location: unknown location {loc_name!r}")
                 devices.append(EdgeDevice(str(row["id"]), _as_float(
                     f"devices[{row['id']}].capacity_gb", row["capacity_gb"]), by_name[loc_name]))
-            devices = tuple(devices)
+            given["devices"] = tuple(devices)
         elif "locations" in data:
             raise ScenarioError("devices: required when locations are customized")
-        else:
-            devices = ref.devices
-
         if "rates" in data:
-            _check_keys("rates", data["rates"], ("edge_rate", "macro_rate"))
-            rates = LinkRates(**_ints_as_floats("rates", data["rates"]))
-        else:
-            rates = ref.rates
-
+            given["rates"] = _flat_section("rates", data["rates"], LinkRates)
         if "tables" in data:
-            raw = _check_keys("tables", data["tables"], ("staying", "value", "combo"))
-            staying, value, combo = (
-                None if raw.get(key) is None else _check_keys(f"tables.{key}", raw[key])
-                for key in ("staying", "value", "combo"))
-            tables = PenaltyTables(
-                staying if staying is not None else ref.tables.staying,
-                ({FileClass(k): v for k, v in value.items()}
-                 if value is not None else ref.tables.value),
-                ({parse_subset(k): v for k, v in combo.items()}
-                 if combo is not None else None),
-            )
-        else:
-            tables = ref.tables
-
+            raw = _check_keys("tables", data["tables"], _TABLE_KEYS)
+            parts = {key: _check_keys(f"tables.{key}", raw[key])
+                     for key in _TABLE_KEYS if raw.get(key) is not None}
+            given["tables"] = replace(ref.tables, **{
+                key: {_TABLE_KEYS[key](k): v for k, v in part.items()}
+                for key, part in parts.items()})
         if "demand" in data:
-            demand = DemandProfile({str(k): parse_subset(v)
-                                    for k, v in _check_keys("demand", data["demand"]).items()})
-        else:
-            requirements = {}
-            for loc in locations:
-                requirements[loc.name] = _REFERENCE_DEMAND.get(loc.name, ALL_CLASSES)
-            demand = DemandProfile(requirements)
-
+            given["demand"] = DemandProfile({
+                str(k): parse_subset(v) for k, v in _check_keys("demand", data["demand"]).items()})
+        elif "locations" in data:
+            given["demand"] = DemandProfile({loc.name: _REFERENCE_DEMAND.get(loc.name, ALL_CLASSES)
+                                             for loc in given["locations"]})
         if "policy" in data:
-            _check_keys("policy", data["policy"],
-                        ("host_requirement_gb", "guest_requirement_gb"))
-            policy = SharingPolicy(**_ints_as_floats("policy", data["policy"]))
-        else:
-            policy = ref.policy
-
+            given["policy"] = _flat_section("policy", data["policy"], SharingPolicy)
         if "timeline" in data:
-            timeline = ActivityTimeline.from_pairs(
+            given["timeline"] = ActivityTimeline.from_pairs(
                 (_as_float(f"timeline[{i}]", d), lv) for i, (d, lv) in enumerate(data["timeline"]))
-        else:
-            timeline = ref.timeline
     except ScenarioError:
         raise
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ScenarioError(str(exc)) from exc
 
-    scenario = EdgeScenario(records, video_mode, locations, devices, rates,
-                            tables, demand, policy, timeline)
+    scenario = replace(ref, **given)
     violations = validate(scenario)
     if violations:
         raise ScenarioError(violations)
@@ -274,20 +251,14 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
 def scenario_to_dict(scenario: EdgeScenario) -> dict:
     """Canonical JSON-ready form; load(save(s)) is the identity."""
     return {
-        "records": {
-            "text_gb": float(scenario.records.text_gb),
-            "image_gb": float(scenario.records.image_gb),
-            "video_conventional_gb": float(scenario.records.video_conventional_gb),
-            "video_dvs_gb": float(scenario.records.video_dvs_gb),
-        },
+        "records": _flat_dict(scenario.records),
         "video_mode": scenario.video_mode.value,
         "locations": [{"name": loc.name, "dwell_hours": float(loc.dwell_hours)}
                       for loc in scenario.locations],
         "devices": [{"id": d.id, "capacity_gb": float(d.capacity_gb),
                      "location": d.location.name}
                     for d in scenario.devices],
-        "rates": {"edge_rate": float(scenario.rates.edge_rate),
-                  "macro_rate": float(scenario.rates.macro_rate)},
+        "rates": _flat_dict(scenario.rates),
         "tables": {
             "staying": {str(h): c for h, c in sorted(scenario.tables.staying.items())},
             "value": {c.value: scenario.tables.value[c] for c in CLASS_ORDER},
@@ -297,8 +268,7 @@ def scenario_to_dict(scenario: EdgeScenario) -> dict:
         },
         "demand": {name: sorted(c.value for c in subset)
                    for name, subset in sorted(scenario.demand.requirements.items())},
-        "policy": {"host_requirement_gb": scenario.policy.host_requirement_gb,
-                   "guest_requirement_gb": scenario.policy.guest_requirement_gb},
+        "policy": _flat_dict(scenario.policy),
         "timeline": [[duration, level.name.lower()]
                      for duration, level in scenario.timeline.segments],
     }

@@ -162,6 +162,48 @@ def test_size_limits_exit_2_and_name_the_limit(capsys):
     assert f"<= {MAX_PARTITIONS} (MAX_PARTITIONS)" in err
 
 
+def test_sweep_default_end_follows_a_start_above_600(capsys):
+    code, out, _ = _run(capsys, "sweep", "--min-gb", "700")
+    assert code == 0
+    assert out == "capacity_gb,patients\r\n700,198\r\n"
+    code, out, err = _run(capsys, "sweep", "--min-gb", "700", "--max-gb", "600")
+    assert code == 2
+    assert out == ""
+    assert "sweep min exceeds max" in err
+
+
+# Valid scenarios in which a reference scheme takes no time: every record is empty,
+# or the one device is too small for the conventional cache to hold anything.
+_ZERO_REFERENCE_DOCUMENTS = {
+    "empty-records": {"records": {"text_gb": 0, "image_gb": 0, "video_conventional_gb": 0,
+                                  "video_dvs_gb": 0}},
+    "empty-femtocache": {"locations": [{"name": "a", "dwell_hours": 24}],
+                         "devices": [{"id": "x", "capacity_gb": 1, "location": "a"}]},
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("name", sorted(_ZERO_REFERENCE_DOCUMENTS))
+def test_improvement_against_a_zero_reference_delay_is_undefined(tmp_path, capsys, name,
+                                                                command, fmt):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_ZERO_REFERENCE_DOCUMENTS[name]))
+    code, out, _ = _run(capsys, command, "--scenario", str(path), "--format", fmt,
+                        "--out", str(tmp_path / "out"))
+    assert code == 0
+    payload = json.loads((tmp_path / "out" / f"{command}.json").read_text())
+    undefined = [row["pct"] is None for row in payload["improvements"]]
+    assert undefined == [row["reference_minutes"] == 0 for row in payload["improvements"]]
+    assert any(undefined)
+    rows = (tmp_path / "out" / "improvements.csv").read_text().splitlines()[1:]
+    assert [row.endswith(",n/a") for row in rows] == undefined
+    if fmt == "json":
+        assert json.loads(out) == payload
+    elif fmt == "table":
+        assert out.count(" n/a ") == sum(undefined)
+
+
 def test_exit_code_3_for_missing_scenario(capsys):
     code, _, err = _run(capsys, "compare", "--scenario", "/does/not/exist.json")
     assert code == 3
@@ -264,6 +306,7 @@ def test_weights_outside_custom_mode_exit_2(capsys, mode):
     ("--fast-kbps", "nan"), ("--fast-kbps", "inf"),
     ("--frame-kbps", "nan"), ("--frame-kbps", "inf"),
     ("timeline", "nan,fast"), ("timeline", "inf,fast"),
+    ("--frame-kbps", "1e305"), ("--fast-kbps", "1e305"),
 ])
 def test_dvs_size_rejects_non_finite_input(tmp_path, capsys, flag, value, fmt):
     if flag == "timeline":

@@ -1,4 +1,8 @@
+import contextlib
+import csv
+import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -6,6 +10,8 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from emrcache.cli import main
+from emrcache.delay import DemandProfile
 from emrcache.records import ALL_CLASSES, FileClass
 from emrcache.scenario import (
     ScenarioError,
@@ -30,6 +36,16 @@ def test_reference_scenario_is_clean():
 
 def test_load_paper_name_gives_reference():
     assert load_scenario("paper") == reference_scenario()
+
+
+def test_reference_scenario_is_one_shared_read_only_value():
+    scenario = load_scenario("paper")
+    assert scenario is reference_scenario()
+    with pytest.raises(TypeError):
+        scenario.demand.requirements["home"] = ALL_CLASSES
+    assert DemandProfile({"a": [FileClass.TEXT]}).requirements["a"] == {FileClass.TEXT}
+    with pytest.raises(ValueError, match=r"^demand\[a\]: "):
+        DemandProfile({"a": ["text"]})
 
 
 def test_round_trip_save_load_identity(tmp_path):
@@ -277,3 +293,55 @@ def test_save_then_load_is_the_identity(document):
         loaded = load_scenario(path)
     assert loaded == scenario
     assert scenario_digest(loaded) == scenario_digest(scenario)
+
+
+# Every subcommand at its defaults; each runs with JSON and with CSV output.
+_SUBCOMMANDS = (["allocate"], ["delay", "--scheme", "edge"], ["delay", "--scheme", "femtocache"],
+                ["delay", "--scheme", "baseline"], ["compare"], ["share"], ["sweep"],
+                ["dvs-size"], ["calibrate"], ["report"])
+# CSV columns that hold names: a location may be called "inf".
+_NAME_COLUMNS = {"device", "location", "cached", "scheme", "case", "camera"}
+# Default observations that cannot fix both link rates: calibrate's documented limit.
+_CALIBRATE_LIMITS = re.compile(r"observations (leave the \w+ rate unconstrained|do not separate)")
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(_all_finite, value.values()))
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _run_cli(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_valid_documents())
+@example({"records": {"text_gb": 0, "image_gb": 0, "video_conventional_gb": 0,
+                      "video_dvs_gb": 0}})
+@example({"locations": [{"name": "a", "dwell_hours": 24}],
+          "devices": [{"id": "x", "capacity_gb": 1, "location": "a"}]})
+@example({"policy": {"host_requirement_gb": 700, "guest_requirement_gb": 3}})
+def test_every_subcommand_runs_on_every_valid_scenario(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(document, fh)
+        for argv in _SUBCOMMANDS:
+            for fmt in ("json", "csv"):
+                code, out, err = _run_cli(argv + ["--scenario", path, "--format", fmt])
+                if argv == ["calibrate"] and code == 2 and _CALIBRATE_LIMITS.search(err):
+                    continue
+                assert code == 0, (argv, err)
+                if fmt == "json":
+                    assert _all_finite(json.loads(out)), argv
+                    continue
+                header, *rows = csv.reader(io.StringIO(out))
+                for column, name in enumerate(header):
+                    if name not in _NAME_COLUMNS:
+                        assert all(math.isfinite(float(row[column])) for row in rows), (argv, name)
