@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -203,6 +204,8 @@ def cmd_dvs_size(args, scenario) -> Emission:
     frame_bytes = frame_volume(frame_bps, timeline.total_duration_s)
     event_bytes = event_volume(timeline, sensor)
     ratio = event_bytes / frame_bytes if frame_bytes > 0 else 0.0
+    if not math.isfinite(ratio):
+        raise ValueError("event/frame ratio is not finite: the inputs overflow the float range")
     payload = {
         "duration_s": timeline.total_duration_s,
         "frame_bitrate_bps": frame_bps,

@@ -217,7 +217,7 @@ def calibrate_rates(observations) -> LinkRates:
     if np.linalg.matrix_rank(a) < 2:
         raise ValueError("observations do not separate the two rates")
     inv_rates, *_ = np.linalg.lstsq(a, y, rcond=None)
-    if inv_rates[0] <= 0 or inv_rates[1] <= 0:
+    if not all(0 < inv < math.inf for inv in inv_rates):  # 1/inf would be a zero rate
         raise ValueError("calibration produced a non-positive rate")
     return LinkRates(edge_rate=float(1.0 / inv_rates[0]), macro_rate=float(1.0 / inv_rates[1]))
 

@@ -53,9 +53,6 @@ class ActivityTimeline:
     def total_duration_s(self) -> float:
         return sum(d for d, _ in self.segments)
 
-    def concat(self, other: "ActivityTimeline") -> "ActivityTimeline":
-        return ActivityTimeline(self.segments + other.segments)
-
     @classmethod
     def from_pairs(cls, pairs) -> "ActivityTimeline":
         """Build from (duration_seconds, level-name) pairs."""

@@ -197,12 +197,6 @@ def is_reference_device(device: EdgeDevice, records: RecordSet, mode: VideoMode)
             and mode is VideoMode.DVS)
 
 
-def enumerate_feasible(device: EdgeDevice, records: RecordSet, mode: VideoMode) -> list:
-    """Every subset whose total size fits the device capacity, empty set included."""
-    return [s for s, (size, _) in subset_table(records, mode).items()
-            if size <= device.capacity_gb + SIZE_EPS]
-
-
 # (staying, value, combo) weights of the fixed modes; ints keep their scores exact.
 _MODE_WEIGHTS = {PlacementMode.OMISSION: (1, 1, 1), PlacementMode.MIN_COMBO: (0, 0, 1)}
 
@@ -283,9 +277,6 @@ class AllocationPlan:
             return self._by_location[location_name]
         except KeyError:
             raise ValueError(f"plan has no device for location {location_name!r}") from None
-
-    def by_device(self) -> dict:
-        return {entry.device_id: entry for entry in self.entries}
 
 
 def plan_scenario(scenario, mode: PlacementMode, weights=None) -> AllocationPlan:

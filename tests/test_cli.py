@@ -319,9 +319,34 @@ def test_dvs_size_rejects_non_finite_input(tmp_path, capsys, flag, value, fmt):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_dvs_size_rejects_an_overflowing_ratio(tmp_path, capsys, fmt):
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "dvs-size", "--frame-kbps", "1e-300", "--fast-kbps", "1e300",
+                          "--format", fmt, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert "event/frame ratio is not finite" in err
+    assert not out_dir.exists()
+
+
 def test_json_text_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         json_text({"minutes": math.nan})
+
+
+def _src_env() -> dict:
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_importing_the_package_loads_no_submodule():
+    probe = ("import sys, emrcache; "
+             "print(sorted(m for m in sys.modules if m.startswith('emrcache.')), emrcache.__version__)")
+    result = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]", "0.1.0"]
 
 
 # Runs one CLI command in a fresh interpreter and prints whether numpy was
@@ -349,9 +374,7 @@ print(code, after_package, after_cli, "numpy" in sys.modules)
     (["calibrate"], True),
 ])
 def test_numpy_is_loaded_only_by_monte_carlo_and_calibrate(argv, loads_numpy):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=env,
+    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=_src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "False", "False", str(loads_numpy)]

@@ -86,7 +86,7 @@ def test_event_volume_additive_over_concat():
     for _ in range(100):
         first = _random_timeline(rng)
         second = _random_timeline(rng)
-        joined = first.concat(second)
+        joined = ActivityTimeline(first.segments + second.segments)
         assert event_volume(joined, sensor) == pytest.approx(
             event_volume(first, sensor) + event_volume(second, sensor))
 

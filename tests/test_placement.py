@@ -10,7 +10,6 @@ from emrcache.placement import (
     PenaltyTables,
     PlacementMode,
     combo_penalty,
-    enumerate_feasible,
     optimize_device,
     plan_scenario,
     reference_divergences,
@@ -78,14 +77,6 @@ def _device(capacity, dwell=10, name="loc"):
     return EdgeDevice("dev", capacity, LocationProfile(name, dwell))
 
 
-def test_enumerate_feasible_examples():
-    records = RecordSet()
-    small = enumerate_feasible(_device(10.0), records, VideoMode.DVS)
-    assert set(small) == {frozenset(), frozenset({TEXT})}
-    assert enumerate_feasible(_device(0.0), records, VideoMode.DVS) == [frozenset()]
-    assert len(enumerate_feasible(_device(500.0), records, VideoMode.DVS)) == 8
-
-
 def test_optimize_device_reference_rows():
     scenario = reference_scenario()
     tables = scenario.tables
@@ -119,7 +110,7 @@ def test_optimized_modes_diverge_only_at_ed(mode):
     expected = dict(REFERENCE_ALLOCATION)
     expected["ED"] = frozenset({TEXT, VIDEO})
     assert subsets == expected
-    assert plan.by_device()["ED"].cached_gb == pytest.approx(19.66)
+    assert plan.entry_for("friend").cached_gb == pytest.approx(19.66)
     divergent = reference_divergences(plan)
     assert [d for d, _, _ in divergent] == ["ED"]
 

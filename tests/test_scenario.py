@@ -301,8 +301,10 @@ _SUBCOMMANDS = (["allocate"], ["delay", "--scheme", "edge"], ["delay", "--scheme
                 ["dvs-size"], ["calibrate"], ["report"])
 # CSV columns that hold names: a location may be called "inf".
 _NAME_COLUMNS = {"device", "location", "cached", "scheme", "case", "camera"}
-# Default observations that cannot fix both link rates: calibrate's documented limit.
-_CALIBRATE_LIMITS = re.compile(r"observations (leave the \w+ rate unconstrained|do not separate)")
+# Default observations that cannot fix both link rates, or that solve to a rate
+# of 0 or infinity: calibrate's documented limits.
+_CALIBRATE_LIMITS = re.compile(r"observations (leave the \w+ rate unconstrained|do not separate)"
+                               r"|calibration produced a non-positive rate")
 
 
 def _all_finite(value) -> bool:
@@ -327,6 +329,10 @@ def _run_cli(argv) -> tuple:
 @example({"locations": [{"name": "a", "dwell_hours": 24}],
           "devices": [{"id": "x", "capacity_gb": 1, "location": "a"}]})
 @example({"policy": {"host_requirement_gb": 700, "guest_requirement_gb": 3}})
+@example({"records": {"text_gb": 0, "image_gb": 5e-324, "video_conventional_gb": 0,
+                      "video_dvs_gb": 0},
+          "locations": [{"name": "a", "dwell_hours": 24}],
+          "devices": [{"id": "x", "capacity_gb": 0, "location": "a"}]})
 def test_every_subcommand_runs_on_every_valid_scenario(document):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
