@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .delay import (
+    SCHEME_FEMTO,
     DelayCase,
     MonteCarloConfig,
     baseline_delay,
@@ -36,8 +37,6 @@ from .report import (
     CASE_HEADERS,
     IMPROVEMENT_HEADERS,
     PLAN_HEADERS,
-    SCHEME_EDGE,
-    SCHEME_FEMTO,
     SCHEME_HEADERS,
     SHARING_HEADERS,
     build_report,
@@ -63,7 +62,9 @@ from .report import (
     write_json,
 )
 from .scenario import load_scenario, matches_reference_layout, scenario_digest
-from .sharing import capacity_sweep
+from .sharing import SWEEP_END_GB, capacity_sweep
+
+SCHEME_NAMES = ("edge", "femtocache", "baseline")  # the --scheme choices
 
 
 @dataclass
@@ -116,7 +117,7 @@ def cmd_delay(args, scenario) -> Emission:
     plan = None
     if args.scheme == "edge":
         _, plan = _plan(args, scenario)
-        report = expected_delay(plan, scenario.locations, scenario.rates, scheme=SCHEME_EDGE)
+        report = expected_delay(plan, scenario.locations, scenario.rates)
     elif args.scheme == "femtocache":
         plan = femtocache_plan(scenario)
         report = expected_delay(plan, scenario.locations, scenario.rates, scheme=SCHEME_FEMTO)
@@ -185,7 +186,7 @@ def cmd_share(args, scenario) -> Emission:
 
 def cmd_sweep(args, scenario) -> Emission:
     min_gb = args.min_gb if args.min_gb is not None else scenario.policy.host_requirement_gb
-    max_gb = args.max_gb if args.max_gb is not None else max(600.0, min_gb)
+    max_gb = args.max_gb if args.max_gb is not None else max(SWEEP_END_GB, min_gb)
     series = capacity_sweep(min_gb, max_gb, args.step_gb, scenario.policy)
     payload = {"digest": scenario_digest(scenario),
                "series": [{"capacity_gb": c, "patients": p} for c, p in series]}
@@ -226,7 +227,7 @@ def _parse_observation(spec: str):
     if len(parts) != 3:
         raise ValueError(f"observation must be scheme:case:minutes, got {spec!r}")
     scheme, case, minutes = parts
-    if scheme not in ("edge", "femtocache", "baseline"):
+    if scheme not in SCHEME_NAMES:
         raise ValueError(f"unknown observation scheme {scheme!r}")
     return scheme, DelayCase(case), float(minutes)
 
@@ -288,7 +289,20 @@ def cmd_report(args, scenario) -> Emission:
                     csv_files=csv_files)
 
 
+def _non_finite(value):
+    """Path of the first NaN or infinite float in a JSON-ready dict or list, or None."""
+    for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+        found = (_non_finite(item) if isinstance(item, (dict, list)) else
+                 "" if isinstance(item, float) and not math.isfinite(item) else None)
+        if found is not None:
+            return (f".{key}" if isinstance(key, str) else f"[{key}]") + found
+    return None
+
+
 def _emit(args, emission: Emission) -> None:
+    path = _non_finite(emission.payload)  # every number shown is in the payload
+    if path is not None:
+        raise ValueError(f"{path.lstrip('.')} is not finite")
     if args.format == "json":
         sys.stdout.write(json_text(emission.payload))
     elif args.format == "csv":
@@ -341,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("delay", help="expected-delay report for one scheme")
     _add_common(p)
     _add_mode(p)
-    p.add_argument("--scheme", choices=("edge", "femtocache", "baseline"), default="edge")
+    p.add_argument("--scheme", choices=SCHEME_NAMES, default="edge")
     p.add_argument("--case", choices=[c.value for c in DelayCase], default=None)
     p.add_argument("--monte-carlo", action="store_true",
                    help="add a seeded sampling estimate")

@@ -22,6 +22,9 @@ MAX_PARTITIONS = 4096
 # `Generator.multinomial` takes its draw count as a signed 64-bit integer.
 MAX_SAMPLES = 2**63 - 1
 
+# Report labels: edge caching with event-camera video, conventional edge caching, none.
+SCHEME_EDGE, SCHEME_FEMTO, SCHEME_BASELINE = "edge_dvs", "femtocache", "baseline"
+
 
 @dataclass(frozen=True)
 class LinkRates:
@@ -104,7 +107,7 @@ def _check_probabilities(locations):
 
 
 def expected_delay(plan: AllocationPlan, locations, rates: LinkRates,
-                   scheme: str = "edge") -> DelayReport:
+                   scheme: str = SCHEME_EDGE) -> DelayReport:
     """Dwell-weighted delay report for an allocation plan.
 
     The best case bills exactly the cached files at the edge rate; the worst
@@ -132,7 +135,7 @@ def femtocache_plan(scenario) -> AllocationPlan:
 def femtocache_delay(scenario) -> DelayReport:
     """Delay report for edge caching of conventional recordings (no event camera)."""
     return expected_delay(femtocache_plan(scenario), scenario.locations, scenario.rates,
-                          scheme="femtocache")
+                          scheme=SCHEME_FEMTO)
 
 
 def baseline_delay(demand: DemandProfile, records: RecordSet, locations,
@@ -154,7 +157,7 @@ def baseline_delay(demand: DemandProfile, records: RecordSet, locations,
         terms.append(LocationTerm(loc.name, loc.probability, t_best, t_worst))
         best += loc.probability * t_best
         worst += loc.probability * t_worst
-    return DelayReport("baseline", best, worst, tuple(terms))
+    return DelayReport(SCHEME_BASELINE, best, worst, tuple(terms))
 
 
 def improvement_pct(reference_minutes: float, new_minutes: float) -> float:

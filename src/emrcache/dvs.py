@@ -109,19 +109,13 @@ def frame_volume(bitrate_bps: float, duration_s: float) -> float:
     """Bytes recorded by a constant-bitrate camera: bitrate x duration / 8."""
     if not (0 <= bitrate_bps < math.inf and 0 <= duration_s < math.inf):
         raise ValueError("bitrate and duration must be finite and >= 0")
-    return _finite_volume(bitrate_bps * duration_s / 8.0)
+    return bitrate_bps * duration_s / 8.0
 
 
 def event_volume(timeline: ActivityTimeline, model: SensorModel) -> float:
     """Bytes an event camera records over a motion timeline."""
-    return _finite_volume(sum(model.event_rates_bps[level] * duration / 8.0
-                              for duration, level in timeline.segments))
-
-
-def _finite_volume(volume: float) -> float:
-    if volume == math.inf:
-        raise ValueError("recorded volume is not finite: the inputs overflow the float range")
-    return volume
+    return sum(model.event_rates_bps[level] * duration / 8.0
+               for duration, level in timeline.segments)
 
 
 def dvs_scale(conventional_gb: float, ratio: float = DEFAULT_DVS_RATIO) -> float:

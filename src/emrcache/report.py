@@ -11,9 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 from .delay import (
+    SCHEME_BASELINE,
+    SCHEME_EDGE,
+    SCHEME_FEMTO,
     DelayCase,
     DelayReport,
     baseline_delay,
@@ -31,10 +35,6 @@ from .scenario import EdgeScenario, matches_reference_layout, scenario_digest
 from .records import subset_label
 from .sharing import patients_served, scenario_capacity
 
-SCHEME_EDGE = "edge_dvs"
-SCHEME_FEMTO = "femtocache"
-SCHEME_BASELINE = "baseline"
-
 
 @dataclass(frozen=True)
 class ImprovementRow:
@@ -42,7 +42,7 @@ class ImprovementRow:
     case: DelayCase
     reference_minutes: float
     new_minutes: float
-    pct: float | None  # None against a zero reference delay: no improvement is defined
+    pct: float | None  # None against a zero reference delay, or when the ratio overflows
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class SharingSummary:
 @dataclass(frozen=True)
 class RunReport:
     digest: str
-    mode: PlacementMode
     plan: AllocationPlan
     schemes: dict  # scheme label -> DelayReport
     improvements: tuple
@@ -64,13 +63,11 @@ class RunReport:
 
 
 def compare_schemes(scenario: EdgeScenario, plan: AllocationPlan) -> dict:
-    """Delay reports for the edge-cached scheme under `plan`, and for the
+    """Delay reports by scheme label: the edge-cached scheme under `plan`, then the
     conventional-cache and no-edge schemes."""
-    edge = expected_delay(plan, scenario.locations, scenario.rates, scheme=SCHEME_EDGE)
-    femto = femtocache_delay(scenario)
-    base = baseline_delay(scenario.demand, scenario.records, scenario.locations,
-                          scenario.rates)
-    return {SCHEME_EDGE: edge, SCHEME_FEMTO: femto, SCHEME_BASELINE: base}
+    reports = (expected_delay(plan, scenario.locations, scenario.rates), femtocache_delay(scenario),
+               baseline_delay(scenario.demand, scenario.records, scenario.locations, scenario.rates))
+    return {report.scheme: report for report in reports}
 
 
 def improvement_rows(schemes: dict) -> tuple:
@@ -81,8 +78,9 @@ def improvement_rows(schemes: dict) -> tuple:
         ref = schemes[ref_label]
         for case in (DelayCase.BEST, DelayCase.WORST):
             ref_minutes, new_minutes = ref.minutes(case), edge.minutes(case)
-            pct = improvement_pct(ref_minutes, new_minutes) if ref_minutes > 0 else None
-            rows.append(ImprovementRow(ref_label, case, ref_minutes, new_minutes, pct))
+            pct = improvement_pct(ref_minutes, new_minutes) if ref_minutes > 0 else math.inf
+            rows.append(ImprovementRow(ref_label, case, ref_minutes, new_minutes,
+                                       pct if math.isfinite(pct) else None))
     return tuple(rows)
 
 
@@ -109,7 +107,6 @@ def build_report(scenario: EdgeScenario, mode: PlacementMode, weights=None) -> R
     schemes = compare_schemes(scenario, plan)
     return RunReport(
         digest=scenario_digest(scenario),
-        mode=mode,
         plan=plan,
         schemes=schemes,
         improvements=improvement_rows(schemes),
@@ -201,7 +198,7 @@ def sharing_to_dict(summary: SharingSummary) -> dict:
 def report_to_dict(report: RunReport) -> dict:
     return {
         "digest": report.digest,
-        "mode": report.mode.value,
+        "mode": report.plan.mode.value,
         "plan": plan_to_dict(report.plan),
         "schemes": {label: delay_report_to_dict(rep)
                     for label, rep in sorted(report.schemes.items())},

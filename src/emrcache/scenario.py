@@ -17,6 +17,7 @@ from functools import lru_cache
 from .delay import DEFAULT_RATES, DemandProfile, LinkRates
 from .dvs import ActivityTimeline, MotionLevel, sleep_night_timeline
 from .placement import (
+    REFERENCE_ALLOCATION,
     REFERENCE_DEVICES,
     EdgeDevice,
     LocationProfile,
@@ -29,10 +30,11 @@ from .records import (
     FileClass,
     RecordSet,
     VideoMode,
+    full_emr_size,
     parse_subset,
     subset_label,
 )
-from .sharing import SharingPolicy
+from .sharing import SWEEP_END_GB, SharingPolicy, patients_served
 
 DWELL_SUM_EPS = 1e-9
 
@@ -65,14 +67,8 @@ class EdgeScenario:
         return replace(self, video_mode=mode)
 
 
-# Required subset per reference location for the no-edge comparison.
-_REFERENCE_DEMAND = {
-    "home": frozenset({FileClass.TEXT, FileClass.IMAGE}),
-    "work": ALL_CLASSES,
-    "family": ALL_CLASSES,
-    "friend": frozenset({FileClass.TEXT}),
-    "other": frozenset({FileClass.TEXT}),
-}
+# Required subset per reference location for the no-edge comparison: the published one.
+_REFERENCE_DEMAND = {REFERENCE_DEVICES[d][0]: s for d, s in REFERENCE_ALLOCATION.items()}
 
 
 @lru_cache(maxsize=1)  # every section is read-only, so every caller can share one
@@ -142,6 +138,18 @@ def validate(scenario: EdgeScenario) -> list:
     for name in scenario.demand.requirements:
         if name not in names:
             violations.append(f"demand[{name}]: references an unknown location")
+    # No delay term exceeds the minutes to move the full conventional set at the slower rate.
+    full_gb = full_emr_size(scenario.records, VideoMode.CONVENTIONAL)
+    for key, rate in _flat_dict(scenario.rates).items():
+        if not math.isfinite(full_gb / rate / 60.0):
+            violations.append(f"rates.{key}: moving {full_gb} GB at {rate} GB/s overflows")
+    # A default run counts guests up to the largest device, or to the default sweep's
+    # end plus half its 1 GB step.
+    try:
+        patients_served(max([SWEEP_END_GB + 0.5] + [d.capacity_gb for d in scenario.devices]),
+                        scenario.policy)
+    except ValueError as exc:
+        violations.append(f"policy.guest_requirement_gb: {exc}")
     return violations
 
 

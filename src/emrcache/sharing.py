@@ -8,6 +8,7 @@ from dataclasses import dataclass
 _EPS = 1e-9
 # Largest capacity grid a sweep builds; each point is one output row.
 MAX_SWEEP_POINTS = 1_000_000
+SWEEP_END_GB = 600.0  # where a sweep ends by default, unless the host requirement lies beyond
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,10 @@ def patients_served(capacity_gb: float, policy: SharingPolicy) -> int:
     """
     if capacity_gb + _EPS < policy.host_requirement_gb:
         return 0
-    leftover = capacity_gb - policy.host_requirement_gb
-    return 1 + int(math.floor(leftover / policy.guest_requirement_gb + _EPS))
+    slices = (capacity_gb - policy.host_requirement_gb) / policy.guest_requirement_gb + _EPS
+    if not math.isfinite(slices):
+        raise ValueError(f"the guest count at {capacity_gb:g} GB overflows the float range")
+    return 1 + math.floor(slices)
 
 
 def scenario_capacity(devices, policy: SharingPolicy, count_hosts: bool = False) -> int:

@@ -330,6 +330,29 @@ def test_dvs_size_rejects_an_overflowing_ratio(tmp_path, capsys, fmt):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_a_non_finite_result_exits_2_before_any_output(tmp_path, capsys, fmt):
+    out_dir = tmp_path / "out"
+    code, out, err = _run(capsys, "calibrate", "--observation", "edge:best:1e306",
+                          "--observation", "baseline:worst:1e306",
+                          "--format", fmt, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == "error: reproduced.femtocache.best_minutes is not finite\n"
+    assert not out_dir.exists()
+
+
+def test_a_sweep_past_the_guest_count_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"policy": {"host_requirement_gb": 1,
+                                           "guest_requirement_gb": 1e-300}}))
+    code, out, err = _run(capsys, "sweep", "--scenario", str(path), "--max-gb", "1e10",
+                          "--step-gb", "1e5")
+    assert code == 2
+    assert out == ""
+    assert "guest count at" in err
+
+
 def test_json_text_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         json_text({"minutes": math.nan})

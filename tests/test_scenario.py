@@ -8,7 +8,7 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from emrcache.cli import main
 from emrcache.delay import DemandProfile
@@ -242,12 +242,16 @@ _CLASS_NAMES = ("text", "image", "video")
 _LABELS = ("(none)", "text", "image", "video", "text+image", "text+video", "image+video",
            "text+image+video")
 _gb = st.floats(min_value=0, max_value=1e4, allow_nan=False) | st.integers(0, 10**4)
+# Divisors from the smallest subnormal up, and from an ordinary range.
+_rate = st.floats(min_value=5e-324, max_value=1e4) | st.floats(1e-3, 10)
 
 
 @st.composite
 def _valid_documents(draw):
     """Scenario documents that load: a location layout with whole dwell hours summing
-    to 24, one device per location, and optional tables, demand, policy and timeline."""
+    to 24, one device per location, and optional tables, demand, policy and timeline.
+    Link rates and the guest requirement reach subnormals, so the drawn documents
+    that break a load rule are filtered out here."""
     count = draw(st.integers(1, 6))
     cuts = sorted(draw(st.lists(st.integers(1, 23), min_size=count - 1, max_size=count - 1,
                                 unique=True)))
@@ -263,7 +267,7 @@ def _valid_documents(draw):
         "locations": [{"name": n, "dwell_hours": h} for n, h in zip(names, dwell)],
         "devices": [{"id": i, "capacity_gb": draw(_gb), "location": n}
                     for i, n in zip(ids, draw(st.permutations(names)))],
-        "rates": {"edge_rate": draw(st.floats(1e-3, 10)), "macro_rate": draw(st.floats(1e-3, 10))},
+        "rates": {"edge_rate": draw(_rate), "macro_rate": draw(_rate)},
     }
     coefficient = st.integers(-100, 100)
     if draw(st.booleans()):
@@ -275,11 +279,15 @@ def _valid_documents(draw):
     if draw(st.booleans()):
         document["demand"] = {n: draw(st.lists(st.sampled_from(_CLASS_NAMES), unique=True))
                               for n in names}
-    guest = draw(st.floats(0.1, 50))
+    guest = draw(st.floats(min_value=5e-324, max_value=50) | st.floats(0.1, 50))
     document["policy"] = {"guest_requirement_gb": guest,
                           "host_requirement_gb": guest + draw(st.floats(0, 500))}
     document["timeline"] = draw(st.lists(st.tuples(
         st.floats(0, 1e5), st.sampled_from(["none", "slow", "fast"])).map(list), max_size=4))
+    try:
+        scenario_from_dict(document)
+    except ScenarioError:
+        assume(False)
     return document
 
 
@@ -333,6 +341,10 @@ def _run_cli(argv) -> tuple:
                       "video_dvs_gb": 0},
           "locations": [{"name": "a", "dwell_hours": 24}],
           "devices": [{"id": "x", "capacity_gb": 0, "location": "a"}]})
+@example({"records": {"text_gb": 1e-320, "image_gb": 0, "video_conventional_gb": 10000,
+                      "video_dvs_gb": 1000},
+          "locations": [{"name": "a", "dwell_hours": 24}],
+          "devices": [{"id": "x", "capacity_gb": 5000, "location": "a"}]})
 def test_every_subcommand_runs_on_every_valid_scenario(document):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
@@ -351,3 +363,24 @@ def test_every_subcommand_runs_on_every_valid_scenario(document):
                 for column, name in enumerate(header):
                     if name not in _NAME_COLUMNS:
                         assert all(math.isfinite(float(row[column])) for row in rows), (argv, name)
+
+
+@pytest.mark.parametrize("document,field", [
+    ({"rates": {"edge_rate": 1e-310, "macro_rate": 1}}, "rates.edge_rate"),
+    ({"records": {"text_gb": 0, "image_gb": 0, "video_conventional_gb": 0, "video_dvs_gb": 0},
+      "locations": [{"name": "a", "dwell_hours": 24}],
+      "devices": [{"id": "x", "capacity_gb": 0, "location": "a"}],
+      "policy": {"host_requirement_gb": 5e-324, "guest_requirement_gb": 5e-324}},
+     "policy.guest_requirement_gb"),
+    # The guest count is finite at 600 GB but not at 600.3 GB, the default sweep's
+    # last point for this host requirement.
+    ({"policy": {"host_requirement_gb": 100.3, "guest_requirement_gb": 2.78133e-306}},
+     "policy.guest_requirement_gb"),
+], ids=["edge-rate", "guest-with-a-0-gb-device", "guest-at-the-sweep-end"])
+def test_divisors_too_small_for_a_default_run_exit_2_at_load(tmp_path, document, field):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    for argv in _SUBCOMMANDS:
+        code, out, err = _run_cli(argv + ["--scenario", str(path)])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {field}: "), (argv, err)
