@@ -17,7 +17,7 @@ from .placement import AllocationPlan, PlacementMode, plan_scenario, subset_tabl
 from .records import FileClass, RecordSet, VideoMode, full_emr_size
 
 PROBABILITY_EPS = 1e-9
-# One seed stream is spawned per partition; this caps what a config may ask for.
+# Each partition is one multinomial draw; this caps what a config may ask for.
 MAX_PARTITIONS = 4096
 # `Generator.multinomial` takes its draw count as a signed 64-bit integer.
 MAX_SAMPLES = 2**63 - 1
@@ -227,15 +227,10 @@ def calibrate_rates(observations) -> LinkRates:
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Sampling setup for the stochastic delay estimate.
-
-    `dwell_rates` overrides the per-location weights (defaults to the dwell
-    probabilities).
-    """
+    """Sampling setup for the stochastic delay estimate."""
 
     samples: int
     seed: int = 0
-    dwell_rates: tuple | None = None
     partitions: int = 1
 
     def __post_init__(self):
@@ -247,11 +242,6 @@ class MonteCarloConfig:
             raise ValueError("partitions must be >= 1")
         if self.partitions > MAX_PARTITIONS:
             raise ValueError(f"partitions must be <= {MAX_PARTITIONS} (MAX_PARTITIONS)")
-        if self.dwell_rates is not None:
-            rates = tuple(float(r) for r in self.dwell_rates)
-            if any(r < 0 for r in rates) or not 0 < sum(rates) < math.inf:
-                raise ValueError("dwell rates must be >= 0 and sum to a finite value > 0")
-            object.__setattr__(self, "dwell_rates", rates)
 
 
 @dataclass(frozen=True)
@@ -263,48 +253,49 @@ class MonteCarloResult:
     partitions: int
 
 
-def _partition_counts(samples: int, partitions: int):
-    base, extra = divmod(samples, partitions)
-    return [base + (1 if i < extra else 0) for i in range(partitions)]
+def _scale(spread: float, n: int, power: int) -> float:
+    """A factor 2**-k for values of magnitude up to `spread`: scaled by it and
+    raised to `power`, any `n` of them sum to a finite float. k is 0 unless the
+    plain sum could overflow, and scaling by a power of two is exact, so wherever
+    the plain sum is finite the scaled one agrees with it bit for bit.
+    """
+    return 2.0 ** -max(0, math.frexp(spread)[1] - (1022 - n.bit_length()) // power)
 
 
 def monte_carlo_delay(plan: AllocationPlan, config: MonteCarloConfig, locations,
                       rates: LinkRates, case: DelayCase) -> MonteCarloResult:
     """Seeded sampling estimate of the expected delay for one case.
 
-    Each draw picks a location from the dwell weights and accrues that
-    location's delay term. The estimator needs only how many draws land on
-    each location, and those counts are Multinomial(samples, weights), so
-    they are drawn directly: time and memory are O(locations) whatever the
-    sample count. The sample budget is split across independent child
-    streams spawned from the seed, one multinomial draw over the
-    positive-weight locations each, so the result is reproducible for a
-    fixed (seed, samples, partitions) triple regardless of how partitions
-    are evaluated.
+    Each draw picks a location term of the closed-form report with that
+    term's dwell probability. The estimator needs only how many draws land
+    on each term, and those counts are Multinomial(samples, probabilities),
+    so they are drawn directly: time and memory are O(locations) whatever
+    the sample count. The sample budget is split into `partitions` near-equal
+    multinomial draws, taken in order from one generator seeded with
+    `config.seed`, so a fixed (seed, samples, partitions) triple repeats
+    exactly.
     """
     import numpy as np
 
-    report = expected_delay(plan, locations, rates)
-    terms = np.array([t.best_minutes if case is DelayCase.BEST else t.worst_minutes
-                      for t in report.terms], dtype=float)
-    if config.dwell_rates is None:
-        weights = np.array([loc.probability for loc in locations], dtype=float)
-    else:
-        weights = np.array(config.dwell_rates, dtype=float)
-        if len(weights) != len(terms):
-            raise ValueError("dwell_rates length must match the location count")
     # `multinomial` hands the last category whatever probability rounding
-    # leaves over, so zero-weight locations stay out of the draw.
-    positive = weights > 0
-    terms = terms[positive]
-    pvals = weights[positive] / weights[positive].sum()
-    counts = np.zeros(len(terms), dtype=np.int64)
-    children = np.random.SeedSequence(config.seed).spawn(config.partitions)
-    for count, child in zip(_partition_counts(config.samples, config.partitions), children):
-        counts += np.random.default_rng(child).multinomial(count, pvals)
-    n = config.samples
-    # Shifting by one term keeps equal terms exact, so their variance is 0.
+    # leaves over, so zero-probability locations stay out of the draw.
+    drawn = [(t.probability, t.best_minutes if case is DelayCase.BEST else t.worst_minutes)
+             for t in expected_delay(plan, locations, rates).terms if t.probability > 0]
+    weights, terms = np.array(drawn, dtype=float).T
+    pvals = weights / weights.sum()
+    n, parts = config.samples, config.partitions
+    base, extra = divmod(n, parts)
+    rng = np.random.default_rng(config.seed)
+    counts = sum(rng.multinomial(base + (i < extra), pvals) for i in range(parts))
+    # Shifting by one term keeps equal terms exact, so their variance is 0. Each
+    # sum is scaled by a power of two, so it stays finite at any term size.
+    spread = float(terms.max() - terms.min())
     shift = float(terms[0])
-    mean = shift + float(counts @ (terms - shift)) / n
-    variance = float(counts @ (terms - mean) ** 2) / (n - 1) if n > 1 else 0.0
-    return MonteCarloResult(mean, math.sqrt(variance / n), n, config.seed, config.partitions)
+    scale = _scale(spread, n, 1)
+    mean = shift + float(counts @ ((terms - shift) * scale)) / n / scale
+    std_error = 0.0
+    if n > 1:
+        scale = _scale(spread, n, 2)
+        scaled_variance = float(counts @ ((terms - mean) * scale) ** 2) / (n - 1)
+        std_error = math.sqrt(scaled_variance / n) / scale
+    return MonteCarloResult(mean, std_error, n, config.seed, parts)

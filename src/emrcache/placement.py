@@ -291,16 +291,3 @@ def plan_scenario(scenario, mode: PlacementMode, weights=None) -> AllocationPlan
         entries.append(PlanEntry(device.id, device.location.name, subset, cached, full - cached))
     return AllocationPlan(mode, scenario.video_mode, tuple(entries))
 
-
-def reference_divergences(plan: AllocationPlan) -> list:
-    """(device id, published subset, chosen subset) where the plan differs.
-
-    Only meaningful for plans built on the built-in layout; unknown device
-    ids are skipped.
-    """
-    out = []
-    for entry in plan.entries:
-        published = REFERENCE_ALLOCATION.get(entry.device_id)
-        if published is not None and entry.subset != published:
-            out.append((entry.device_id, published, entry.subset))
-    return out

@@ -25,12 +25,7 @@ from .delay import (
     femtocache_delay,
     improvement_pct,
 )
-from .placement import (
-    AllocationPlan,
-    PlacementMode,
-    plan_scenario,
-    reference_divergences,
-)
+from .placement import REFERENCE_ALLOCATION, AllocationPlan, PlacementMode, plan_scenario
 from .scenario import EdgeScenario, matches_reference_layout, scenario_digest
 from .records import subset_label
 from .sharing import patients_served, scenario_capacity
@@ -99,7 +94,8 @@ def plan_divergences(scenario: EdgeScenario, mode: PlacementMode, plan: Allocati
     published allocation; None when the comparison does not apply."""
     if mode is PlacementMode.REFERENCE or not matches_reference_layout(scenario):
         return None
-    return tuple(reference_divergences(plan))
+    return tuple((e.device_id, REFERENCE_ALLOCATION[e.device_id], e.subset)
+                 for e in plan.entries if e.subset != REFERENCE_ALLOCATION[e.device_id])
 
 
 def build_report(scenario: EdgeScenario, mode: PlacementMode, weights=None) -> RunReport:

@@ -308,12 +308,6 @@ def load_scenario(path_or_name) -> EdgeScenario:
     return scenario_from_dict(data)
 
 
-def save_scenario(scenario: EdgeScenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def scenario_digest(scenario: EdgeScenario) -> str:
     """Content digest of the canonical form, for reproducibility stamps."""
     canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True)

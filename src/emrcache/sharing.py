@@ -38,7 +38,9 @@ def patients_served(capacity_gb: float, policy: SharingPolicy) -> int:
     """
     if capacity_gb + _EPS < policy.host_requirement_gb:
         return 0
-    slices = (capacity_gb - policy.host_requirement_gb) / policy.guest_requirement_gb + _EPS
+    # A capacity within _EPS below the host passes the check; it serves the host alone.
+    leftover = max(0.0, capacity_gb - policy.host_requirement_gb)
+    slices = leftover / policy.guest_requirement_gb + _EPS
     if not math.isfinite(slices):
         raise ValueError(f"the guest count at {capacity_gb:g} GB overflows the float range")
     return 1 + math.floor(slices)

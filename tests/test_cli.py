@@ -71,6 +71,23 @@ def test_share_totals(capsys):
     assert "total counting unshared hosts: 150" in out
 
 
+def test_a_device_just_below_the_host_requirement_serves_the_host(tmp_path, capsys):
+    # EA passes the host check within its tolerance, so it serves its host; its
+    # negative leftover, over a tiny guest slice, must not count as guests.
+    devices = [{"id": "EA", "capacity_gb": 9.9999999995, "location": "home"},
+               {"id": "EB", "capacity_gb": 500.0, "location": "work"},
+               {"id": "EC", "capacity_gb": 150.0, "location": "family"},
+               {"id": "ED", "capacity_gb": 50.0, "location": "friend"},
+               {"id": "EE", "capacity_gb": 10.0, "location": "other"}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"policy": {"host_requirement_gb": 10,
+                                           "guest_requirement_gb": 1e-300},
+                                "devices": devices}))
+    code, out, _ = _run(capsys, "share", "--scenario", str(path), "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "EA,10,1"
+
+
 def test_sweep_emits_csv_series(capsys):
     code, out, _ = _run(capsys, "sweep", "--min-gb", "499", "--max-gb", "501")
     assert code == 0

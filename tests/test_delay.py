@@ -315,19 +315,16 @@ def test_monte_carlo_single_location_is_exact():
     assert result.std_error == pytest.approx(0.0, abs=1e-12)
 
 
-def test_monte_carlo_dwell_rate_override():
+def test_monte_carlo_all_dwell_at_one_location_gives_its_term():
     scenario = reference_scenario()
     plan = _fixture_plan(scenario)
     report = expected_delay(plan, scenario.locations, scenario.rates)
-    # all weight on the first location collapses the estimate to its term
-    config = MonteCarloConfig(samples=1000, seed=5,
-                              dwell_rates=(1.0, 0.0, 0.0, 0.0, 0.0))
-    result = monte_carlo_delay(plan, config, scenario.locations, scenario.rates,
-                               DelayCase.BEST)
+    # the other locations get no dwell time, so no draws
+    locations = tuple(type(loc)(loc.name, 24.0 if i == 0 else 0.0)
+                      for i, loc in enumerate(scenario.locations))
+    result = monte_carlo_delay(plan, MonteCarloConfig(samples=1000, seed=5), locations,
+                               scenario.rates, DelayCase.BEST)
     assert result.minutes == pytest.approx(report.terms[0].best_minutes, rel=1e-12)
-    with pytest.raises(ValueError):
-        monte_carlo_delay(plan, MonteCarloConfig(samples=10, dwell_rates=(1.0, 1.0)),
-                          scenario.locations, scenario.rates, DelayCase.BEST)
 
 
 def test_monte_carlo_config_validation():
@@ -335,8 +332,6 @@ def test_monte_carlo_config_validation():
         MonteCarloConfig(samples=0)
     with pytest.raises(ValueError):
         MonteCarloConfig(samples=10, partitions=0)
-    with pytest.raises(ValueError):
-        MonteCarloConfig(samples=10, dwell_rates=(0.0, 0.0))
 
 
 def test_default_rates_ratio():

@@ -4,7 +4,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from emrcache.delay import (
     MAX_PARTITIONS,
@@ -36,10 +36,11 @@ partitions = st.sampled_from((1, 4))
 cases = st.sampled_from((DelayCase.BEST, DelayCase.WORST))
 
 
-def _setup(cached, residual):
-    """A plan with one device per location, and equal dwell at every location."""
-    count = len(cached)
-    locations = tuple(LocationProfile(f"loc{i}", 24.0 / count) for i in range(count))
+def _setup(cached, residual, weights):
+    """A plan with one device per location, each location's dwell hours in
+    proportion to its weight (24 * w / sum(w))."""
+    total = sum(weights)
+    locations = tuple(LocationProfile(f"loc{i}", 24.0 * w / total) for i, w in enumerate(weights))
     entries = tuple(PlanEntry(f"dev{i}", loc.name, frozenset(), c, r)
                     for i, (loc, c, r) in enumerate(zip(locations, cached, residual)))
     return AllocationPlan(PlacementMode.CUSTOM, VideoMode.DVS, entries), locations
@@ -50,31 +51,28 @@ def _terms(plan, locations, case):
             for t in expected_delay(plan, locations, RATES).terms]
 
 
-def _moments(terms, weights):
-    total = sum(weights)
-    mean = sum(w * t for w, t in zip(weights, terms)) / total
-    return mean, sum(w * (t - mean) ** 2 for w, t in zip(weights, terms)) / total
+def _moments(terms, locations):
+    mean = sum(loc.probability * t for loc, t in zip(locations, terms))
+    return mean, sum(loc.probability * (t - mean) ** 2 for loc, t in zip(locations, terms))
 
 
 @st.composite
-def problems(draw, weights=int_weights):
+def problems(draw, weights=int_weights, sizes=sizes):
     w = draw(weights)
     assume(sum(w) > 0)
     count = len(w)
     cached = draw(st.lists(sizes, min_size=count, max_size=count))
     residual = draw(st.lists(sizes, min_size=count, max_size=count))
-    plan, locations = _setup(cached, residual)
-    return plan, locations, tuple(float(x) for x in w)
+    return _setup(cached, residual, w)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(problems(), seeds, st.integers(min_value=10**6, max_value=10**12), partitions, cases)
 def test_estimate_and_standard_error_match_the_closed_form(problem, seed, samples, parts, case):
-    plan, locations, weights = problem
-    config = MonteCarloConfig(samples=samples, seed=seed, dwell_rates=weights,
-                              partitions=parts)
+    plan, locations = problem
+    config = MonteCarloConfig(samples=samples, seed=seed, partitions=parts)
     result = monte_carlo_delay(plan, config, locations, RATES, case)
-    mean, var = _moments(_terms(plan, locations, case), weights)
+    mean, var = _moments(_terms(plan, locations, case), locations)
     sigma = math.sqrt(var / samples)
     rounding = 1e-12 * max(abs(mean), 1.0)
     assert abs(result.minutes - mean) <= 5 * result.std_error + rounding
@@ -84,9 +82,8 @@ def test_estimate_and_standard_error_match_the_closed_form(problem, seed, sample
 @settings(max_examples=40, deadline=None)
 @given(problems(), seeds, st.integers(min_value=1, max_value=10**12), partitions, cases)
 def test_same_seed_samples_and_partitions_repeat_exactly(problem, seed, samples, parts, case):
-    plan, locations, weights = problem
-    config = MonteCarloConfig(samples=samples, seed=seed, dwell_rates=weights,
-                              partitions=parts)
+    plan, locations = problem
+    config = MonteCarloConfig(samples=samples, seed=seed, partitions=parts)
     first = monte_carlo_delay(plan, config, locations, RATES, case)
     assert monte_carlo_delay(plan, config, locations, RATES, case) == first
     assert (first.samples, first.seed, first.partitions) == (samples, seed, parts)
@@ -96,13 +93,12 @@ def test_same_seed_samples_and_partitions_repeat_exactly(problem, seed, samples,
 @given(problems(), seeds, st.integers(min_value=1, max_value=10**12), partitions, cases)
 def test_zero_weight_locations_get_no_draws(problem, seed, samples, parts, case):
     # Had a zero-weight location drawn anything, a huge delay there would show.
-    plan, locations, weights = problem
-    assume(0.0 in weights)
+    plan, locations = problem
+    assume(any(loc.probability == 0 for loc in locations))
     huge = AllocationPlan(plan.mode, plan.video_mode, tuple(
-        PlanEntry(e.device_id, e.location, e.subset, 1e12, 1e12) if w == 0 else e
-        for e, w in zip(plan.entries, weights)))
-    config = MonteCarloConfig(samples=samples, seed=seed, dwell_rates=weights,
-                              partitions=parts)
+        PlanEntry(e.device_id, e.location, e.subset, 1e12, 1e12) if loc.probability == 0 else e
+        for e, loc in zip(plan.entries, locations)))
+    config = MonteCarloConfig(samples=samples, seed=seed, partitions=parts)
     assert (monte_carlo_delay(huge, config, locations, RATES, case)
             == monte_carlo_delay(plan, config, locations, RATES, case))
 
@@ -114,9 +110,8 @@ def test_equal_terms_give_zero_standard_error(weights, cached, residual, seed, s
                                               parts, case):
     assume(sum(weights) > 0)
     count = len(weights)
-    plan, locations = _setup([cached] * count, [residual] * count)
-    config = MonteCarloConfig(samples=samples, seed=seed, dwell_rates=weights,
-                              partitions=parts)
+    plan, locations = _setup([cached] * count, [residual] * count, weights)
+    config = MonteCarloConfig(samples=samples, seed=seed, partitions=parts)
     result = monte_carlo_delay(plan, config, locations, RATES, case)
     assert result.std_error == 0.0
     assert result.minutes == _terms(plan, locations, case)[0]
@@ -128,16 +123,16 @@ float_weights = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(problems(float_weights), seeds, st.integers(min_value=1, max_value=10**12), partitions,
-       cases)
+@given(problems(float_weights, sizes | st.floats(min_value=0.0, max_value=1e306)), seeds,
+       st.integers(min_value=1, max_value=10**12), partitions, cases)
+@example(_setup([0.0, 1e306], [1e306, 0.0], [1, 1]), 0, 10**6, 1, DelayCase.BEST)
 def test_every_weight_normalisation_gives_a_valid_estimate(problem, seed, samples, parts, case):
-    # Subnormal, tiny and huge weights all normalise to valid draw probabilities.
-    plan, locations, weights = problem
-    assume(math.isfinite(sum(weights)))
-    config = MonteCarloConfig(samples=samples, seed=seed, dwell_rates=weights,
-                              partitions=parts)
+    # Subnormal, tiny and huge weights all normalise to valid draw probabilities,
+    # and terms near 1e306 minutes, whose squares overflow, give a finite estimate.
+    plan, locations = problem
+    config = MonteCarloConfig(samples=samples, seed=seed, partitions=parts)
     result = monte_carlo_delay(plan, config, locations, RATES, case)
-    drawn = [t for t, w in zip(_terms(plan, locations, case), weights) if w > 0]
+    drawn = [t for t, loc in zip(_terms(plan, locations, case), locations) if loc.probability > 0]
     slack = 1e-9 * max(drawn)
     assert min(drawn) - slack <= result.minutes <= max(drawn) + slack
     assert math.isfinite(result.std_error) and result.std_error >= 0.0
@@ -172,9 +167,3 @@ def test_limits_are_checked_before_anything_is_spawned():
     assert peak < 100_000
     assert MonteCarloConfig(samples=MAX_SAMPLES, partitions=MAX_PARTITIONS).partitions \
         == MAX_PARTITIONS
-
-
-@pytest.mark.parametrize("rates", [(1.0, math.nan), (math.inf, 1.0), (1e308, 1e308)])
-def test_dwell_rates_must_sum_to_a_finite_value(rates):
-    with pytest.raises(ValueError, match="dwell rates"):
-        MonteCarloConfig(samples=10, dwell_rates=rates)

@@ -12,11 +12,11 @@ from emrcache.placement import (
     combo_penalty,
     optimize_device,
     plan_scenario,
-    reference_divergences,
     staying_penalty,
     value_penalty,
 )
 from emrcache.records import ALL_CLASSES, ALL_SUBSETS, FileClass, RecordSet, VideoMode
+from emrcache.report import plan_divergences
 from emrcache.scenario import reference_scenario
 
 from _oracles import naive_combo, naive_optimize, naive_size, naive_subsets, random_scenario
@@ -111,7 +111,7 @@ def test_optimized_modes_diverge_only_at_ed(mode):
     expected["ED"] = frozenset({TEXT, VIDEO})
     assert subsets == expected
     assert plan.entry_for("friend").cached_gb == pytest.approx(19.66)
-    divergent = reference_divergences(plan)
+    divergent = plan_divergences(scenario, mode, plan)
     assert [d for d, _, _ in divergent] == ["ED"]
 
 

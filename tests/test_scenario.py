@@ -18,7 +18,6 @@ from emrcache.scenario import (
     load_scenario,
     matches_reference_layout,
     reference_scenario,
-    save_scenario,
     scenario_digest,
     scenario_from_dict,
     scenario_to_dict,
@@ -48,10 +47,15 @@ def test_reference_scenario_is_one_shared_read_only_value():
         DemandProfile({"a": ["text"]})
 
 
+def _save(scenario, path):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True))
+
+
 def test_round_trip_save_load_identity(tmp_path):
     scenario = reference_scenario()
     path = tmp_path / "scenario.json"
-    save_scenario(scenario, path)
+    _save(scenario, path)
     assert load_scenario(path) == scenario
     assert scenario_digest(load_scenario(path)) == scenario_digest(scenario)
 
@@ -191,7 +195,7 @@ def test_tables_combo_override_round_trips(tmp_path):
     scenario = scenario_from_dict(data)
     assert scenario.tables.combo[frozenset({FileClass.TEXT})] == 99
     path = tmp_path / "combo.json"
-    save_scenario(scenario, path)
+    _save(scenario, path)
     assert load_scenario(path) == scenario
 
 
@@ -297,16 +301,19 @@ def test_save_then_load_is_the_identity(document):
     scenario = scenario_from_dict(document)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
-        save_scenario(scenario, path)
+        _save(scenario, path)
         loaded = load_scenario(path)
     assert loaded == scenario
     assert scenario_digest(loaded) == scenario_digest(scenario)
 
 
-# Every subcommand at its defaults; each runs with JSON and with CSV output.
+# Every subcommand at its defaults, and the Monte Carlo estimate for both plan-based
+# schemes; each runs with JSON and with CSV output.
+_MONTE_CARLO = ["--monte-carlo", "--samples", "1000"]
 _SUBCOMMANDS = (["allocate"], ["delay", "--scheme", "edge"], ["delay", "--scheme", "femtocache"],
-                ["delay", "--scheme", "baseline"], ["compare"], ["share"], ["sweep"],
-                ["dvs-size"], ["calibrate"], ["report"])
+                ["delay", "--scheme", "baseline"], ["delay", "--scheme", "edge"] + _MONTE_CARLO,
+                ["delay", "--scheme", "femtocache"] + _MONTE_CARLO, ["compare"], ["share"],
+                ["sweep"], ["dvs-size"], ["calibrate"], ["report"])
 # CSV columns that hold names: a location may be called "inf".
 _NAME_COLUMNS = {"device", "location", "cached", "scheme", "case", "camera"}
 # Default observations that cannot fix both link rates, or that solve to a rate
@@ -345,6 +352,8 @@ def _run_cli(argv) -> tuple:
                       "video_dvs_gb": 1000},
           "locations": [{"name": "a", "dwell_hours": 24}],
           "devices": [{"id": "x", "capacity_gb": 5000, "location": "a"}]})
+# Delay terms near 1e300 minutes: the Monte Carlo variance must not overflow.
+@example({"rates": {"edge_rate": 1e-300, "macro_rate": 1e-300}})
 def test_every_subcommand_runs_on_every_valid_scenario(document):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")

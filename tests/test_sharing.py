@@ -32,6 +32,11 @@ def test_patients_served_boundaries():
                            policy) == 2
 
 
+def test_a_capacity_that_passes_the_host_check_serves_the_host():
+    policy = SharingPolicy(host_requirement_gb=10.0, guest_requirement_gb=0.1)
+    assert patients_served(10.0 - 5e-10, policy) == 1
+
+
 def test_scenario_capacity_totals():
     scenario = reference_scenario()
     assert scenario_capacity(scenario.devices, scenario.policy) == 147
