@@ -56,7 +56,6 @@ from .report import (
     report_to_dict,
     schemes_to_rows,
     sharing_summary,
-    sharing_to_dict,
     sharing_to_rows,
     write_csv,
     write_json,
@@ -73,9 +72,10 @@ class Emission:
 
     name: str
     payload: dict
-    tables: list = field(default_factory=list)  # (title, headers, rows)
+    # (table title | None, CSV file name | None, headers, rows); `--format csv`
+    # prints the first section with a file name.
+    sections: list
     notes: list = field(default_factory=list)
-    csv_files: list = field(default_factory=list)  # (filename, headers, rows)
 
 
 def _resolve_mode(args, scenario) -> PlacementMode:
@@ -106,22 +106,21 @@ def cmd_allocate(args, scenario) -> Emission:
     divergences = plan_divergences(scenario, mode, plan)
     if divergences is not None:
         payload["divergences"] = divergences_to_dicts(divergences)
-    rows = plan_to_rows(plan)
-    return Emission("allocation", payload,
-                    tables=[(f"allocation ({mode.value})", PLAN_HEADERS, rows)],
-                    notes=divergences_to_notes(divergences or ()),
-                    csv_files=[("allocation.csv", PLAN_HEADERS, rows)])
+    return Emission("allocation", payload, [(f"allocation ({mode.value})", "allocation.csv",
+                                             PLAN_HEADERS, plan_to_rows(plan))],
+                    notes=divergences_to_notes(divergences or ()))
 
 
 def cmd_delay(args, scenario) -> Emission:
-    plan = None
+    # Every scheme resolves the edge plan, so --mode and --weights are checked for each.
+    _, plan = _plan(args, scenario)
     if args.scheme == "edge":
-        _, plan = _plan(args, scenario)
         report = expected_delay(plan, scenario.locations, scenario.rates)
     elif args.scheme == "femtocache":
         plan = femtocache_plan(scenario)
         report = expected_delay(plan, scenario.locations, scenario.rates, scheme=SCHEME_FEMTO)
     else:
+        plan = None
         report = baseline_delay(scenario.demand, scenario.records, scenario.locations,
                                 scenario.rates)
     cases = [DelayCase(args.case)] if args.case else [DelayCase.BEST, DelayCase.WORST]
@@ -130,11 +129,11 @@ def cmd_delay(args, scenario) -> Emission:
     term_headers = ["location", "probability", "best_minutes", "worst_minutes"]
     term_rows = [[t.location, f"{t.probability:.6f}", fmt_minutes(t.best_minutes),
                   fmt_minutes(t.worst_minutes)] for t in report.terms]
-    tables = [(f"{report.scheme} delay", ["case", "minutes"], summary_rows),
-              ("per-location terms", term_headers, term_rows)]
-    emission = Emission(f"delay_{report.scheme}", payload, tables=tables,
-                        csv_files=[(f"delay_{report.scheme}.csv", CASE_HEADERS,
-                                    delay_cases_to_rows([report], cases))])
+    emission = Emission(f"delay_{report.scheme}", payload, [
+        (f"{report.scheme} delay", None, ["case", "minutes"], summary_rows),
+        ("per-location terms", None, term_headers, term_rows),
+        (None, f"delay_{report.scheme}.csv", CASE_HEADERS, delay_cases_to_rows([report], cases)),
+    ])
     if args.monte_carlo:
         if plan is None:
             raise ValueError("monte carlo estimation needs a plan-based scheme (edge or femtocache)")
@@ -150,8 +149,8 @@ def cmd_delay(args, scenario) -> Emission:
                 "partitions": result.partitions}
             mc_rows.append([case.value, fmt_minutes(result.minutes),
                             f"{result.std_error:.6f}", str(result.samples)])
-        emission.tables.append(("monte carlo", ["case", "minutes", "std_error", "samples"],
-                                mc_rows))
+        emission.sections.append(("monte carlo", None,
+                                  ["case", "minutes", "std_error", "samples"], mc_rows))
     return emission
 
 
@@ -160,28 +159,26 @@ def cmd_compare(args, scenario) -> Emission:
     report = build_report(scenario, mode, weights=_parse_weights(args))
     full = report_to_dict(report)
     payload = {key: full[key] for key in ("digest", "mode", "schemes", "improvements")}
-    imp_rows = improvements_to_rows(report.improvements)
     # The table keeps compare_schemes' order (edge, femtocache, baseline); the
     # CSV lists one row per scheme and case, sorted by scheme.
     case_rows = delay_cases_to_rows([rep for _, rep in sorted(report.schemes.items())],
                                     (DelayCase.BEST, DelayCase.WORST))
-    return Emission(
-        "compare", payload,
-        tables=[("delay comparison", SCHEME_HEADERS, schemes_to_rows(report.schemes.items())),
-                ("improvements", IMPROVEMENT_HEADERS, imp_rows)],
-        csv_files=[("compare.csv", CASE_HEADERS, case_rows),
-                   ("improvements.csv", IMPROVEMENT_HEADERS, imp_rows)])
+    return Emission("compare", payload, [
+        ("delay comparison", None, SCHEME_HEADERS, schemes_to_rows(report.schemes.items())),
+        (None, "compare.csv", CASE_HEADERS, case_rows),
+        ("improvements", "improvements.csv", IMPROVEMENT_HEADERS,
+         improvements_to_rows(report.improvements)),
+    ])
 
 
 def cmd_share(args, scenario) -> Emission:
     summary = sharing_summary(scenario)
-    payload = {"digest": scenario_digest(scenario), **sharing_to_dict(summary)}
-    rows = sharing_to_rows(summary)
-    notes = [f"total patients: {summary.total}"]
+    payload = {"digest": scenario_digest(scenario), **summary}
+    notes = [f"total patients: {summary['total']}"]
     if args.count_hosts:
-        notes.append(f"total counting unshared hosts: {summary.total_with_hosts}")
-    return Emission("sharing", payload, tables=[("shared capacity", SHARING_HEADERS, rows)],
-                    notes=notes, csv_files=[("sharing.csv", SHARING_HEADERS, rows)])
+        notes.append(f"total counting unshared hosts: {summary['total_with_hosts']}")
+    return Emission("sharing", payload, [("shared capacity", "sharing.csv", SHARING_HEADERS,
+                                          sharing_to_rows(summary))], notes=notes)
 
 
 def cmd_sweep(args, scenario) -> Emission:
@@ -190,10 +187,9 @@ def cmd_sweep(args, scenario) -> Emission:
     series = capacity_sweep(min_gb, max_gb, args.step_gb, scenario.policy)
     payload = {"digest": scenario_digest(scenario),
                "series": [{"capacity_gb": c, "patients": p} for c, p in series]}
-    headers = ["capacity_gb", "patients"]
     rows = [[f"{c:g}", str(p)] for c, p in series]
-    return Emission("sweep", payload, tables=[("capacity sweep", headers, rows)],
-                    csv_files=[("sweep.csv", headers, rows)])
+    return Emission("sweep", payload,
+                    [("capacity sweep", "sweep.csv", ["capacity_gb", "patients"], rows)])
 
 
 def cmd_dvs_size(args, scenario) -> Emission:
@@ -204,8 +200,10 @@ def cmd_dvs_size(args, scenario) -> Emission:
                                      slow_bps=args.slow_kbps * 1e3)
     frame_bytes = frame_volume(frame_bps, timeline.total_duration_s)
     event_bytes = event_volume(timeline, sensor)
-    ratio = event_bytes / frame_bytes if frame_bytes > 0 else 0.0
-    if not math.isfinite(ratio):
+    # Undefined with no frame volume to compare against, like an improvement
+    # against a zero reference delay.
+    ratio = event_bytes / frame_bytes if frame_bytes > 0 else None
+    if ratio is not None and not math.isfinite(ratio):
         raise ValueError("event/frame ratio is not finite: the inputs overflow the float range")
     payload = {
         "duration_s": timeline.total_duration_s,
@@ -214,12 +212,12 @@ def cmd_dvs_size(args, scenario) -> Emission:
         "event_bytes": event_bytes,
         "event_to_frame_ratio": ratio,
     }
-    headers = ["camera", "bytes", "gb"]
     rows = [["frame", f"{frame_bytes:.0f}", f"{frame_bytes / 1e9:.4f}"],
             ["event", f"{event_bytes:.0f}", f"{event_bytes / 1e9:.4f}"]]
-    notes = [f"event/frame ratio: {ratio:.4f}"]
-    return Emission("dvs_size", payload, tables=[("recording volume", headers, rows)],
-                    notes=notes, csv_files=[("dvs_size.csv", headers, rows)])
+    notes = [f"event/frame ratio: {'n/a' if ratio is None else f'{ratio:.4f}'}"]
+    return Emission("dvs_size", payload,
+                    [("recording volume", "dvs_size.csv", ["camera", "bytes", "gb"], rows)],
+                    notes=notes)
 
 
 def _parse_observation(spec: str):
@@ -260,33 +258,31 @@ def cmd_calibrate(args, scenario) -> Emission:
                                "worst_minutes": rep.worst_minutes}
                        for label, rep in schemes},
     }
-    rows = schemes_to_rows(schemes)
     notes = [f"edge_rate: {rates.edge_rate:.9f} GB/s",
              f"macro_rate: {rates.macro_rate:.9f} GB/s"]
     return Emission("calibration", payload,
-                    tables=[("delays reproduced with calibrated rates", SCHEME_HEADERS, rows)],
-                    notes=notes, csv_files=[("calibration.csv", SCHEME_HEADERS, rows)])
+                    [("delays reproduced with calibrated rates", "calibration.csv",
+                      SCHEME_HEADERS, schemes_to_rows(schemes))], notes=notes)
 
 
 def cmd_report(args, scenario) -> Emission:
     mode = _resolve_mode(args, scenario)
     report = build_report(scenario, mode, weights=_parse_weights(args))
-    tables = [
-        (f"allocation ({mode.value})", PLAN_HEADERS, plan_to_rows(report.plan)),
-        ("delay comparison", SCHEME_HEADERS, schemes_to_rows(sorted(report.schemes.items()))),
-        ("improvements", IMPROVEMENT_HEADERS, improvements_to_rows(report.improvements)),
-        ("shared capacity", SHARING_HEADERS, sharing_to_rows(report.sharing)),
+    sections = [
+        (f"allocation ({mode.value})", "allocation.csv", PLAN_HEADERS, plan_to_rows(report.plan)),
+        ("delay comparison", "compare.csv", SCHEME_HEADERS,
+         schemes_to_rows(sorted(report.schemes.items()))),
+        ("improvements", "improvements.csv", IMPROVEMENT_HEADERS,
+         improvements_to_rows(report.improvements)),
+        ("shared capacity", "sharing.csv", SHARING_HEADERS, sharing_to_rows(report.sharing)),
     ]
-    csv_files = [(name, headers, rows) for name, (_, headers, rows) in zip(
-        ("allocation.csv", "compare.csv", "improvements.csv", "sharing.csv"), tables)]
     payload = report_to_dict(report)
     if args.out:
         payload["emitted"] = [f"{args.out}/{name}"
-                              for name in ["report.json"] + [f[0] for f in csv_files]]
-    notes = [f"digest: {report.digest}", f"total patients: {report.sharing.total}"]
-    return Emission("report", payload, tables=tables,
-                    notes=notes + divergences_to_notes(report.divergences),
-                    csv_files=csv_files)
+                              for name in ["report.json"] + [s[1] for s in sections]]
+    notes = [f"digest: {report.digest}", f"total patients: {report.sharing['total']}"]
+    return Emission("report", payload, sections,
+                    notes=notes + divergences_to_notes(report.divergences))
 
 
 def _non_finite(value):
@@ -306,22 +302,24 @@ def _emit(args, emission: Emission) -> None:
     if args.format == "json":
         sys.stdout.write(json_text(emission.payload))
     elif args.format == "csv":
-        _, headers, rows = emission.csv_files[0]
+        headers, rows = next((h, r) for _, name, h, r in emission.sections if name is not None)
         sys.stdout.write(csv_text(headers, rows))
     else:
-        for title, headers, rows in emission.tables:
-            print(f"== {title}")
-            print(format_table(headers, rows))
-            print()
+        for title, _, headers, rows in emission.sections:
+            if title is not None:
+                print(f"== {title}")
+                print(format_table(headers, rows))
+                print()
         for note in emission.notes:
             print(note)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         written = [f"{args.out}/{emission.name}.json"]
         write_json(written[0], emission.payload)
-        for name, headers, rows in emission.csv_files:
-            written.append(f"{args.out}/{name}")
-            write_csv(written[-1], headers, rows)
+        for _, name, headers, rows in emission.sections:
+            if name is not None:
+                written.append(f"{args.out}/{name}")
+                write_csv(written[-1], headers, rows)
         for path in written:
             print(f"wrote {path}", file=sys.stderr)
 

@@ -174,27 +174,21 @@ REFERENCE_ALLOCATION = {
     "EE": frozenset({FileClass.TEXT}),
 }
 
-# Built-in scenario layout: id -> (location name, dwell hours, capacity GB).
-REFERENCE_DEVICES = {
-    "EA": ("home", 10, 100.0),
-    "EB": ("work", 8, 500.0),
-    "EC": ("family", 3, 150.0),
-    "ED": ("friend", 2, 50.0),
-    "EE": ("other", 1, 10.0),
-}
+# Built-in scenario layout: one device per location, in the published order.
+REFERENCE_DEVICES = (
+    EdgeDevice("EA", 100.0, LocationProfile("home", 10)),
+    EdgeDevice("EB", 500.0, LocationProfile("work", 8)),
+    EdgeDevice("EC", 150.0, LocationProfile("family", 3)),
+    EdgeDevice("ED", 50.0, LocationProfile("friend", 2)),
+    EdgeDevice("EE", 10.0, LocationProfile("other", 1)),
+)
 
 
 def is_reference_device(device: EdgeDevice, records: RecordSet, mode: VideoMode) -> bool:
-    """True when the device, the record sizes and the video mode are the built-in ones."""
-    spec = REFERENCE_DEVICES.get(device.id)
-    if spec is None:
-        return False
-    name, dwell, capacity = spec
-    return (device.location.name == name
-            and device.location.dwell_hours == dwell
-            and device.capacity_gb == capacity
-            and records == RecordSet()
-            and mode is VideoMode.DVS)
+    """True when the device, the record sizes and the video mode are the built-in ones.
+
+    Device equality compares id, capacity, location name and dwell hours."""
+    return device in REFERENCE_DEVICES and records == RecordSet() and mode is VideoMode.DVS
 
 
 # (staying, value, combo) weights of the fixed modes; ints keep their scores exact.

@@ -32,28 +32,12 @@ from .sharing import patients_served, scenario_capacity
 
 
 @dataclass(frozen=True)
-class ImprovementRow:
-    reference_scheme: str
-    case: DelayCase
-    reference_minutes: float
-    new_minutes: float
-    pct: float | None  # None against a zero reference delay, or when the ratio overflows
-
-
-@dataclass(frozen=True)
-class SharingSummary:
-    per_device: tuple  # of (device id, capacity_gb, patients)
-    total: int
-    total_with_hosts: int
-
-
-@dataclass(frozen=True)
 class RunReport:
     digest: str
     plan: AllocationPlan
     schemes: dict  # scheme label -> DelayReport
-    improvements: tuple
-    sharing: SharingSummary
+    improvements: list  # payload of improvement_rows; read-only by convention
+    sharing: dict  # payload of sharing_summary; read-only by convention
     divergences: tuple  # of (device id, published subset, chosen subset)
 
 
@@ -65,8 +49,9 @@ def compare_schemes(scenario: EdgeScenario, plan: AllocationPlan) -> dict:
     return {report.scheme: report for report in reports}
 
 
-def improvement_rows(schemes: dict) -> tuple:
-    """How much the edge-cached scheme saves against each reference scheme."""
+def improvement_rows(schemes: dict) -> list:
+    """How much the edge-cached scheme saves against each reference scheme, as JSON
+    dicts; `pct` is None against a zero reference delay, or when the ratio overflows."""
     edge = schemes[SCHEME_EDGE]
     rows = []
     for ref_label in (SCHEME_FEMTO, SCHEME_BASELINE):
@@ -74,19 +59,22 @@ def improvement_rows(schemes: dict) -> tuple:
         for case in (DelayCase.BEST, DelayCase.WORST):
             ref_minutes, new_minutes = ref.minutes(case), edge.minutes(case)
             pct = improvement_pct(ref_minutes, new_minutes) if ref_minutes > 0 else math.inf
-            rows.append(ImprovementRow(ref_label, case, ref_minutes, new_minutes,
-                                       pct if math.isfinite(pct) else None))
-    return tuple(rows)
+            rows.append({"reference_scheme": ref_label, "case": case.value,
+                         "reference_minutes": ref_minutes, "new_minutes": new_minutes,
+                         "pct": pct if math.isfinite(pct) else None})
+    return rows
 
 
-def sharing_summary(scenario: EdgeScenario) -> SharingSummary:
-    per_device = tuple((d.id, d.capacity_gb, patients_served(d.capacity_gb, scenario.policy))
-                       for d in scenario.devices)
-    return SharingSummary(
-        per_device,
-        scenario_capacity(scenario.devices, scenario.policy),
-        scenario_capacity(scenario.devices, scenario.policy, count_hosts=True),
-    )
+def sharing_summary(scenario: EdgeScenario) -> dict:
+    """Patients served per device and in total, as a JSON dict."""
+    return {
+        "per_device": [{"device": d.id, "capacity_gb": d.capacity_gb,
+                        "patients": patients_served(d.capacity_gb, scenario.policy)}
+                       for d in scenario.devices],
+        "total": scenario_capacity(scenario.devices, scenario.policy),
+        "total_with_hosts": scenario_capacity(scenario.devices, scenario.policy,
+                                              count_hosts=True),
+    }
 
 
 def plan_divergences(scenario: EdgeScenario, mode: PlacementMode, plan: AllocationPlan):
@@ -173,22 +161,14 @@ def schemes_to_rows(items) -> list:
 
 
 def improvements_to_rows(improvements) -> list:
-    return [[r.reference_scheme, r.case.value, fmt_minutes(r.reference_minutes),
-             fmt_minutes(r.new_minutes), "n/a" if r.pct is None else f"{r.pct:.2f}"]
+    return [[r["reference_scheme"], r["case"], fmt_minutes(r["reference_minutes"]),
+             fmt_minutes(r["new_minutes"]), "n/a" if r["pct"] is None else f"{r['pct']:.2f}"]
             for r in improvements]
 
 
-def sharing_to_rows(summary: SharingSummary) -> list:
-    return [[d, f"{c:g}", str(p)] for d, c, p in summary.per_device]
-
-
-def sharing_to_dict(summary: SharingSummary) -> dict:
-    return {
-        "per_device": [{"device": d, "capacity_gb": c, "patients": p}
-                       for d, c, p in summary.per_device],
-        "total": summary.total,
-        "total_with_hosts": summary.total_with_hosts,
-    }
+def sharing_to_rows(summary: dict) -> list:
+    return [[r["device"], f"{r['capacity_gb']:g}", str(r["patients"])]
+            for r in summary["per_device"]]
 
 
 def report_to_dict(report: RunReport) -> dict:
@@ -198,11 +178,8 @@ def report_to_dict(report: RunReport) -> dict:
         "plan": plan_to_dict(report.plan),
         "schemes": {label: delay_report_to_dict(rep)
                     for label, rep in sorted(report.schemes.items())},
-        "improvements": [{"reference_scheme": r.reference_scheme, "case": r.case.value,
-                          "reference_minutes": r.reference_minutes,
-                          "new_minutes": r.new_minutes, "pct": r.pct}
-                         for r in report.improvements],
-        "sharing": sharing_to_dict(report.sharing),
+        "improvements": report.improvements,
+        "sharing": report.sharing,
         "divergences": divergences_to_dicts(report.divergences),
     }
 

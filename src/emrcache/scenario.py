@@ -68,23 +68,17 @@ class EdgeScenario:
 
 
 # Required subset per reference location for the no-edge comparison: the published one.
-_REFERENCE_DEMAND = {REFERENCE_DEVICES[d][0]: s for d, s in REFERENCE_ALLOCATION.items()}
+_REFERENCE_DEMAND = {d.location.name: REFERENCE_ALLOCATION[d.id] for d in REFERENCE_DEVICES}
 
 
 @lru_cache(maxsize=1)  # every section is read-only, so every caller can share one
 def reference_scenario() -> EdgeScenario:
     """The built-in five-location scenario with calibrated link rates."""
-    locations = []
-    devices = []
-    for device_id, (name, dwell, capacity) in REFERENCE_DEVICES.items():
-        loc = LocationProfile(name, dwell)
-        locations.append(loc)
-        devices.append(EdgeDevice(device_id, capacity, loc))
     return EdgeScenario(
         records=RecordSet(),
         video_mode=VideoMode.DVS,
-        locations=tuple(locations),
-        devices=tuple(devices),
+        locations=tuple(d.location for d in REFERENCE_DEVICES),
+        devices=REFERENCE_DEVICES,
         rates=DEFAULT_RATES,
         tables=PenaltyTables.default(),
         demand=DemandProfile(_REFERENCE_DEMAND),

@@ -130,6 +130,18 @@ def test_monte_carlo_rejected_for_baseline(capsys):
     assert "plan-based" in err
 
 
+@pytest.mark.parametrize("scheme", ["edge", "femtocache", "baseline"])
+@pytest.mark.parametrize("flags,message", [
+    (["--weights", "1,2,3"], "weights apply only to custom mode"),
+    (["--mode", "custom"], "custom mode needs three finite weights"),
+], ids=["weights-outside-custom", "custom-without-weights"])
+def test_delay_checks_mode_and_weights_for_every_scheme(capsys, scheme, flags, message):
+    code, out, err = _run(capsys, "delay", "--scheme", scheme, *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     code, first, _ = _run(capsys, "report", "--format", "json")
     assert code == 0
@@ -345,6 +357,23 @@ def test_dvs_size_rejects_an_overflowing_ratio(tmp_path, capsys, fmt):
     assert out == ""
     assert "event/frame ratio is not finite" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_dvs_size_ratio_without_frame_volume_is_undefined(tmp_path, capsys, fmt):
+    out_dir = tmp_path / "out"
+    code, out, _ = _run(capsys, "dvs-size", "--frame-kbps", "0", "--format", fmt,
+                        "--out", str(out_dir))
+    assert code == 0
+    payload = json.loads((out_dir / "dvs_size.json").read_text())
+    assert (payload["frame_bytes"], payload["event_bytes"]) == (0, 1e8)
+    assert payload["event_to_frame_ratio"] is None
+    if fmt == "json":
+        assert json.loads(out) == payload
+    elif fmt == "csv":
+        assert out.splitlines()[1:] == ["frame,0,0.0000", "event,100000000,0.1000"]
+    else:
+        assert "event/frame ratio: n/a\n" in out
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])

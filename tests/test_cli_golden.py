@@ -37,10 +37,7 @@ PRINT_CASES.update({f"{cmd}-omission-{fmt}": [cmd, "--mode", "omission", "--form
 
 # name -> argv run from an empty directory; golden/<name>/ holds stdout.txt,
 # stderr.txt and the artifacts under out/
-OUT_CASES = {
-    "report-out": ["report", "--out", "out"],
-    "compare-out": ["compare", "--out", "out"],
-}
+OUT_CASES = {f"{cmd}-out": [cmd, *extra, "--out", "out"] for cmd, extra in SUBCOMMANDS.items()}
 
 
 def run_cli(argv) -> tuple:
