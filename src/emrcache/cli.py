@@ -9,7 +9,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .delay import (
     SCHEME_FEMTO,
@@ -44,7 +44,6 @@ from .report import (
     csv_text,
     delay_cases_to_rows,
     delay_report_to_dict,
-    divergences_to_dicts,
     divergences_to_notes,
     fmt_minutes,
     format_table,
@@ -105,7 +104,7 @@ def cmd_allocate(args, scenario) -> Emission:
     payload = {"digest": scenario_digest(scenario), "plan": plan_to_dict(plan)}
     divergences = plan_divergences(scenario, mode, plan)
     if divergences is not None:
-        payload["divergences"] = divergences_to_dicts(divergences)
+        payload["divergences"] = divergences
     return Emission("allocation", payload, [(f"allocation ({mode.value})", "allocation.csv",
                                              PLAN_HEADERS, plan_to_rows(plan))],
                     notes=divergences_to_notes(divergences or ()))
@@ -139,16 +138,12 @@ def cmd_delay(args, scenario) -> Emission:
             raise ValueError("monte carlo estimation needs a plan-based scheme (edge or femtocache)")
         config = MonteCarloConfig(samples=args.samples, seed=args.seed,
                                   partitions=args.partitions)
-        mc_rows = []
-        payload["monte_carlo"] = {}
-        for case in cases:
-            result = monte_carlo_delay(plan, config, scenario.locations, scenario.rates, case)
-            payload["monte_carlo"][case.value] = {
-                "minutes": result.minutes, "std_error": result.std_error,
-                "samples": result.samples, "seed": result.seed,
-                "partitions": result.partitions}
-            mc_rows.append([case.value, fmt_minutes(result.minutes),
-                            f"{result.std_error:.6f}", str(result.samples)])
+        payload["monte_carlo"] = {
+            case.value: asdict(monte_carlo_delay(plan, config, scenario.locations,
+                                                 scenario.rates, case))
+            for case in cases}
+        mc_rows = [[case, fmt_minutes(r["minutes"]), f"{r['std_error']:.6f}", str(r["samples"])]
+                   for case, r in payload["monte_carlo"].items()]
         emission.sections.append(("monte carlo", None,
                                   ["case", "minutes", "std_error", "samples"], mc_rows))
     return emission
@@ -227,7 +222,10 @@ def _parse_observation(spec: str):
     scheme, case, minutes = parts
     if scheme not in SCHEME_NAMES:
         raise ValueError(f"unknown observation scheme {scheme!r}")
-    return scheme, DelayCase(case), float(minutes)
+    case, minutes = DelayCase(case), float(minutes)
+    if not math.isfinite(minutes):
+        raise ValueError(f"observation minutes must be finite, got {spec!r}")
+    return scheme, case, minutes
 
 
 def cmd_calibrate(args, scenario) -> Emission:

@@ -242,6 +242,8 @@ class MonteCarloConfig:
             raise ValueError("partitions must be >= 1")
         if self.partitions > MAX_PARTITIONS:
             raise ValueError(f"partitions must be <= {MAX_PARTITIONS} (MAX_PARTITIONS)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

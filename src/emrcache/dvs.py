@@ -37,27 +37,20 @@ class MotionLevel(IntEnum):
 
 @dataclass(frozen=True)
 class ActivityTimeline:
-    """Piecewise-constant motion profile: ordered (duration_s, level) segments."""
+    """Piecewise-constant motion profile: ordered (duration_s, level or its name) segments."""
 
     segments: tuple = ()
 
     def __post_init__(self):
-        norm = []
-        for duration, level in self.segments:
-            if not 0 <= duration < math.inf:
-                raise ValueError("timeline segment durations must be finite and >= 0")
-            norm.append((float(duration), MotionLevel(level)))
-        object.__setattr__(self, "segments", tuple(norm))
+        segments = tuple((float(duration), level if isinstance(level, MotionLevel)
+                          else MotionLevel.parse(level)) for duration, level in self.segments)
+        if not all(0 <= duration < math.inf for duration, _ in segments):
+            raise ValueError("timeline segment durations must be finite and >= 0")
+        object.__setattr__(self, "segments", segments)
 
     @property
     def total_duration_s(self) -> float:
         return sum(d for d, _ in self.segments)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "ActivityTimeline":
-        """Build from (duration_seconds, level-name) pairs."""
-        return cls(tuple((float(d), MotionLevel.parse(lv) if not isinstance(lv, MotionLevel) else lv)
-                         for d, lv in pairs))
 
     @classmethod
     def from_csv(cls, path) -> "ActivityTimeline":
@@ -73,7 +66,7 @@ class ActivityTimeline:
                 if len(row) < 2:
                     raise ValueError(f"timeline row needs duration and level: {row!r}")
                 pairs.append((float(row[0]), row[1]))
-        return cls.from_pairs(pairs)
+        return cls(tuple(pairs))
 
 
 @dataclass(frozen=True)

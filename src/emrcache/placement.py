@@ -23,6 +23,7 @@ from .records import (
     FileClass,
     RecordSet,
     VideoMode,
+    parse_subset,
     subset_size,
 )
 
@@ -96,13 +97,22 @@ def combo_penalty(subset, records: RecordSet, mode: VideoMode) -> int:
     return subset_table(records, mode)[frozenset(subset)][1]
 
 
+def _coefficient(table: str, key, value) -> int:
+    """`value` as an int. A coefficient is an int or an integral float within 2**53, so it
+    is exact as a float and no custom-mode score overflows; bools and strings are rejected."""
+    if type(value) in (int, float) and abs(value) <= 2**53 and value == int(value):
+        return int(value)
+    raise ValueError(f"tables.{table}[{key}]: {value!r} is not a whole number within 2**53")
+
+
 @dataclass(frozen=True)
 class PenaltyTables:
     """The three coefficient families used by the placement score.
 
-    `staying` maps whole hours to a coefficient, `value` maps file classes,
-    and `combo` optionally pins explicit combination coefficients; when it is
-    None the size-rank rule supplies them for any record sizes. The mappings
+    `staying` maps whole hours, `value` file classes and `combo` subsets to
+    coefficients, keyed by int, FileClass and frozenset or as in a scenario file.
+    `combo` pins only the subsets it lists; when it is None the size-rank rule
+    supplies every combination coefficient for any record sizes. The mappings
     are read-only, so the tables can key the cached score rows.
     """
 
@@ -111,19 +121,18 @@ class PenaltyTables:
     combo: dict | None = None
 
     def __post_init__(self):
-        staying = {int(k): int(v) for k, v in self.staying.items()}
+        staying = {int(k): _coefficient("staying", k, v) for k, v in self.staying.items()}
         for h in range(1, 25):
             if h not in staying:
                 raise ValueError(f"tables.staying must cover hour {h}")
-        value = {FileClass(k) if not isinstance(k, FileClass) else k: int(v)
-                 for k, v in self.value.items()}
+        value = {FileClass(k): _coefficient("value", k, v) for k, v in self.value.items()}
         for c in CLASS_ORDER:
             if c not in value:
                 raise ValueError(f"tables.value must cover file class {c.value}")
         object.__setattr__(self, "staying", MappingProxyType(staying))
         object.__setattr__(self, "value", MappingProxyType(value))
         if self.combo is not None:
-            combo = {frozenset(k): int(v) for k, v in self.combo.items()}
+            combo = {parse_subset(k): _coefficient("combo", k, v) for k, v in self.combo.items()}
             object.__setattr__(self, "combo", MappingProxyType(combo))
         # Hashed once: the tables key the score-row cache on every plan.
         object.__setattr__(self, "_hash", hash(tuple(

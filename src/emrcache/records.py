@@ -92,17 +92,13 @@ def _powerset() -> tuple:
 ALL_SUBSETS = _powerset()
 
 
+# The eight canonical subsets' labels, joined once.
+_LABELS = {s: "+".join(c.value for c in CLASS_ORDER if c in s) or "(none)" for s in ALL_SUBSETS}
+
+
 def subset_label(subset) -> str:
     """Canonical text form, e.g. 'text+image'; the empty subset is '(none)'."""
-    if isinstance(subset, frozenset) and subset in _LABELS:
-        return _LABELS[subset]
-    if not subset:
-        return "(none)"
-    return "+".join(c.value for c in CLASS_ORDER if c in subset)
-
-
-_LABELS = {}  # the eight canonical subsets' labels, joined once
-_LABELS.update((s, subset_label(s)) for s in ALL_SUBSETS)
+    return _LABELS[frozenset(subset)]
 
 
 def parse_subset(names) -> frozenset:

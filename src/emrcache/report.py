@@ -38,7 +38,7 @@ class RunReport:
     schemes: dict  # scheme label -> DelayReport
     improvements: list  # payload of improvement_rows; read-only by convention
     sharing: dict  # payload of sharing_summary; read-only by convention
-    divergences: tuple  # of (device id, published subset, chosen subset)
+    divergences: list  # payload of plan_divergences; read-only by convention
 
 
 def compare_schemes(scenario: EdgeScenario, plan: AllocationPlan) -> dict:
@@ -78,12 +78,13 @@ def sharing_summary(scenario: EdgeScenario) -> dict:
 
 
 def plan_divergences(scenario: EdgeScenario, mode: PlacementMode, plan: AllocationPlan):
-    """(device id, published subset, chosen subset) where `plan` departs from the
-    published allocation; None when the comparison does not apply."""
+    """Each device where `plan` departs from the published allocation, as a JSON dict of
+    its id and both subsets' labels; None when the comparison does not apply."""
     if mode is PlacementMode.REFERENCE or not matches_reference_layout(scenario):
         return None
-    return tuple((e.device_id, REFERENCE_ALLOCATION[e.device_id], e.subset)
-                 for e in plan.entries if e.subset != REFERENCE_ALLOCATION[e.device_id])
+    return [{"device": e.device_id, "published": subset_label(REFERENCE_ALLOCATION[e.device_id]),
+             "chosen": subset_label(e.subset)}
+            for e in plan.entries if e.subset != REFERENCE_ALLOCATION[e.device_id]]
 
 
 def build_report(scenario: EdgeScenario, mode: PlacementMode, weights=None) -> RunReport:
@@ -95,7 +96,7 @@ def build_report(scenario: EdgeScenario, mode: PlacementMode, weights=None) -> R
         schemes=schemes,
         improvements=improvement_rows(schemes),
         sharing=sharing_summary(scenario),
-        divergences=plan_divergences(scenario, mode, plan) or (),
+        divergences=plan_divergences(scenario, mode, plan) or [],
     )
 
 
@@ -127,14 +128,8 @@ def plan_to_dict(plan: AllocationPlan) -> dict:
 
 
 def divergences_to_notes(divergences) -> list:
-    return [f"note: {d} diverges from the published allocation: "
-            f"caches {subset_label(got)} instead of {subset_label(ref)}"
-            for d, ref, got in divergences]
-
-
-def divergences_to_dicts(divergences) -> list:
-    return [{"device": d, "published": subset_label(ref), "chosen": subset_label(got)}
-            for d, ref, got in divergences]
+    return [f"note: {d['device']} diverges from the published allocation: "
+            f"caches {d['chosen']} instead of {d['published']}" for d in divergences]
 
 
 def delay_cases_to_rows(reports, cases) -> list:
@@ -180,7 +175,7 @@ def report_to_dict(report: RunReport) -> dict:
                     for label, rep in sorted(report.schemes.items())},
         "improvements": report.improvements,
         "sharing": report.sharing,
-        "divergences": divergences_to_dicts(report.divergences),
+        "divergences": report.divergences,
     }
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 from .delay import DEFAULT_RATES, DemandProfile, LinkRates
-from .dvs import ActivityTimeline, MotionLevel, sleep_night_timeline
+from .dvs import ActivityTimeline, sleep_night_timeline
 from .placement import (
     REFERENCE_ALLOCATION,
     REFERENCE_DEVICES,
@@ -27,7 +27,6 @@ from .placement import (
 from .records import (
     ALL_CLASSES,
     CLASS_ORDER,
-    FileClass,
     RecordSet,
     VideoMode,
     full_emr_size,
@@ -180,11 +179,6 @@ def _flat_dict(obj) -> dict:
     return {f.name: float(getattr(obj, f.name)) for f in fields(obj)}
 
 
-# Each penalty table, and what turns one of its JSON keys into a table key (staying
-# keys pass through: PenaltyTables reads them as whole hours).
-_TABLE_KEYS = {"staying": lambda hour: hour, "value": FileClass, "combo": parse_subset}
-
-
 def scenario_from_dict(data: dict) -> EdgeScenario:
     """Build and validate a scenario; omitted sections keep the reference scenario's."""
     if not isinstance(data, dict):
@@ -221,12 +215,11 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
         if "rates" in data:
             given["rates"] = _flat_section("rates", data["rates"], LinkRates)
         if "tables" in data:
-            raw = _check_keys("tables", data["tables"], _TABLE_KEYS)
-            parts = {key: _check_keys(f"tables.{key}", raw[key])
-                     for key in _TABLE_KEYS if raw.get(key) is not None}
+            names = [f.name for f in fields(PenaltyTables)]
+            raw = _check_keys("tables", data["tables"], names)
             given["tables"] = replace(ref.tables, **{
-                key: {_TABLE_KEYS[key](k): v for k, v in part.items()}
-                for key, part in parts.items()})
+                key: _check_keys(f"tables.{key}", raw[key])
+                for key in names if raw.get(key) is not None})
         if "demand" in data:
             given["demand"] = DemandProfile({
                 str(k): parse_subset(v) for k, v in _check_keys("demand", data["demand"]).items()})
@@ -236,8 +229,8 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
         if "policy" in data:
             given["policy"] = _flat_section("policy", data["policy"], SharingPolicy)
         if "timeline" in data:
-            given["timeline"] = ActivityTimeline.from_pairs(
-                (_as_float(f"timeline[{i}]", d), lv) for i, (d, lv) in enumerate(data["timeline"]))
+            given["timeline"] = ActivityTimeline(tuple(
+                (_as_float(f"timeline[{i}]", d), lv) for i, (d, lv) in enumerate(data["timeline"])))
     except ScenarioError:
         raise
     except (TypeError, ValueError, KeyError, OverflowError) as exc:

@@ -300,6 +300,30 @@ def test_malformed_sections_exit_2_naming_the_section(tmp_path, capsys, document
     assert f"{section}: must be a JSON object" in err
 
 
+def test_a_coefficient_too_large_for_custom_mode_exits_2_at_load(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"tables": {"value": {"text": 1e308, "image": 1e308,
+                                                     "video": 1e308}}}))
+    code, out, err = _run(capsys, "allocate", "--mode", "custom", "--weights", "1,1,1",
+                          "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: tables.value[text]: 1e+308 is not a whole number within 2**53\n"
+
+
+@pytest.mark.parametrize("minutes", ["nan", "inf", "-inf"])
+def test_calibrate_rejects_non_finite_observation_minutes(capsys, minutes):
+    spec = f"edge:best:{minutes}"
+    code, out, err = _run(capsys, "calibrate", "--observation", spec,
+                          "--observation", "baseline:worst:247")
+    assert (code, out) == (2, "")
+    assert err == f"error: observation minutes must be finite, got {spec!r}\n"
+
+
+def test_a_negative_seed_exits_2_naming_the_option(capsys):
+    code, out, err = _run(capsys, "delay", "--monte-carlo", "--samples", "1000", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
+
+
 def test_calibrate_plans_femtocache_only_when_observed(monkeypatch, capsys):
     calls = []
     original = placement.plan_scenario

@@ -19,7 +19,7 @@ from emrcache.delay import (
     transfer_minutes,
 )
 from emrcache.placement import AllocationPlan, PlacementMode, PlanEntry, plan_scenario
-from emrcache.records import ALL_SUBSETS, RecordSet, VideoMode, full_emr_size, subset_size
+from emrcache.records import ALL_SUBSETS, RecordSet, full_emr_size, subset_size
 from emrcache.scenario import reference_scenario
 
 from _oracles import random_scenario
@@ -332,6 +332,8 @@ def test_monte_carlo_config_validation():
         MonteCarloConfig(samples=0)
     with pytest.raises(ValueError):
         MonteCarloConfig(samples=10, partitions=0)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+        MonteCarloConfig(samples=10, seed=-1)
 
 
 def test_default_rates_ratio():

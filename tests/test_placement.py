@@ -112,7 +112,7 @@ def test_optimized_modes_diverge_only_at_ed(mode):
     assert subsets == expected
     assert plan.entry_for("friend").cached_gb == pytest.approx(19.66)
     divergent = plan_divergences(scenario, mode, plan)
-    assert [d for d, _, _ in divergent] == ["ED"]
+    assert [d["device"] for d in divergent] == ["ED"]
 
 
 def test_plan_scenario_zero_capacity_caches_nothing():

@@ -199,6 +199,16 @@ def test_tables_combo_override_round_trips(tmp_path):
     assert load_scenario(path) == scenario
 
 
+@pytest.mark.parametrize("coefficient", [2.7, "3", True, 1e308, 2**53 + 2])
+def test_penalty_coefficients_are_whole_numbers_within_2_53(tmp_path, coefficient):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"tables": {"value": {"text": coefficient, "image": 1,
+                                                     "video": 3}}}))
+    message = f"tables.value[text]: {coefficient!r} is not a whole number within 2**53"
+    with pytest.raises(ScenarioError, match="^" + re.escape(message) + "$"):
+        load_scenario(path)
+
+
 _SECTION_KEYS = {
     "records": ("text_gb", "image_gb", "video_conventional_gb", "video_dvs_gb"),
     "rates": ("edge_rate", "macro_rate"),
@@ -273,7 +283,9 @@ def _valid_documents(draw):
                     for i, n in zip(ids, draw(st.permutations(names)))],
         "rates": {"edge_rate": draw(_rate), "macro_rate": draw(_rate)},
     }
-    coefficient = st.integers(-100, 100)
+    # Whole coefficients, as ints or integral floats, up to the 2**53 load limit.
+    coefficient = (st.integers(-100, 100) | st.integers(-2**53, 2**53)
+                   | st.integers(-2**53, 2**53).map(float))
     if draw(st.booleans()):
         document["tables"] = {
             "staying": {str(h): draw(coefficient) for h in range(0, 26)},
@@ -307,13 +319,16 @@ def test_save_then_load_is_the_identity(document):
     assert scenario_digest(loaded) == scenario_digest(scenario)
 
 
-# Every subcommand at its defaults, and the Monte Carlo estimate for both plan-based
-# schemes; each runs with JSON and with CSV output.
+# Every subcommand at its defaults, the Monte Carlo estimate for both plan-based
+# schemes, and custom mode with ordinary and huge weights; each runs with JSON and
+# with CSV output.
 _MONTE_CARLO = ["--monte-carlo", "--samples", "1000"]
 _SUBCOMMANDS = (["allocate"], ["delay", "--scheme", "edge"], ["delay", "--scheme", "femtocache"],
                 ["delay", "--scheme", "baseline"], ["delay", "--scheme", "edge"] + _MONTE_CARLO,
                 ["delay", "--scheme", "femtocache"] + _MONTE_CARLO, ["compare"], ["share"],
-                ["sweep"], ["dvs-size"], ["calibrate"], ["report"])
+                ["sweep"], ["dvs-size"], ["calibrate"], ["report"],
+                ["allocate", "--mode", "custom", "--weights", "0.5,2,3"],
+                ["report", "--mode", "custom", "--weights", "1e300,1,1"])
 # CSV columns that hold names: a location may be called "inf".
 _NAME_COLUMNS = {"device", "location", "cached", "scheme", "case", "camera"}
 # Default observations that cannot fix both link rates, or that solve to a rate
