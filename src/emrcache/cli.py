@@ -15,7 +15,6 @@ from .delay import (
     SCHEME_FEMTO,
     DelayCase,
     MonteCarloConfig,
-    baseline_delay,
     baseline_observation,
     calibrate_rates,
     expected_delay,
@@ -32,13 +31,14 @@ from .dvs import (
     event_volume,
     frame_volume,
 )
-from .placement import PlacementMode, plan_scenario
+from .placement import PlacementMode
 from .report import (
     CASE_HEADERS,
     IMPROVEMENT_HEADERS,
     PLAN_HEADERS,
     SCHEME_HEADERS,
     SHARING_HEADERS,
+    RunReport,
     build_report,
     compare_schemes,
     csv_text,
@@ -49,17 +49,17 @@ from .report import (
     format_table,
     improvements_to_rows,
     json_text,
-    plan_divergences,
     plan_to_dict,
     plan_to_rows,
     report_to_dict,
+    schemes_to_dict,
     schemes_to_rows,
     sharing_summary,
     sharing_to_rows,
     write_csv,
     write_json,
 )
-from .scenario import load_scenario, matches_reference_layout, scenario_digest
+from .scenario import load_scenario, matches_reference_layout
 from .sharing import SWEEP_END_GB, capacity_sweep
 
 SCHEME_NAMES = ("edge", "femtocache", "baseline")  # the --scheme choices
@@ -77,53 +77,42 @@ class Emission:
     notes: list = field(default_factory=list)
 
 
-def _resolve_mode(args, scenario) -> PlacementMode:
-    if args.mode is not None:
-        return PlacementMode(args.mode)
-    return (PlacementMode.REFERENCE if matches_reference_layout(scenario)
-            else PlacementMode.OMISSION)
-
-
-def _parse_weights(args) -> tuple | None:
-    if args.weights is None:
-        return None
-    parts = [p for p in args.weights.split(",") if p.strip()]
-    if len(parts) != 3:
-        raise ValueError("weights must be three comma-separated numbers")
-    return tuple(float(p) for p in parts)
-
-
-def _plan(args, scenario) -> tuple:
-    """(mode, edge plan) for the --mode and --weights options."""
-    mode = _resolve_mode(args, scenario)
-    return mode, plan_scenario(scenario, mode, weights=_parse_weights(args))
+def _report(args, scenario) -> RunReport:
+    """The run that --mode and --weights select; `_add_mode` documents the default mode."""
+    weights = None
+    if args.weights is not None:
+        parts = [p for p in args.weights.split(",") if p.strip()]
+        if len(parts) != 3:
+            raise ValueError("weights must be three comma-separated numbers")
+        weights = tuple(float(p) for p in parts)
+    mode = PlacementMode(args.mode) if args.mode is not None else (
+        PlacementMode.REFERENCE if matches_reference_layout(scenario) else PlacementMode.OMISSION)
+    return build_report(scenario, mode, weights=weights)
 
 
 def cmd_allocate(args, scenario) -> Emission:
-    mode, plan = _plan(args, scenario)
-    payload = {"digest": scenario_digest(scenario), "plan": plan_to_dict(plan)}
-    divergences = plan_divergences(scenario, mode, plan)
-    if divergences is not None:
-        payload["divergences"] = divergences
-    return Emission("allocation", payload, [(f"allocation ({mode.value})", "allocation.csv",
-                                             PLAN_HEADERS, plan_to_rows(plan))],
-                    notes=divergences_to_notes(divergences or ()))
+    run = _report(args, scenario)
+    payload = {"digest": scenario.digest, "plan": plan_to_dict(run.plan)}
+    if run.divergences is not None:
+        payload["divergences"] = run.divergences
+    return Emission("allocation", payload,
+                    [(f"allocation ({run.mode.value})", "allocation.csv", PLAN_HEADERS,
+                      plan_to_rows(run.plan))], notes=divergences_to_notes(run.divergences or ()))
 
 
 def cmd_delay(args, scenario) -> Emission:
-    # Every scheme resolves the edge plan, so --mode and --weights are checked for each.
-    _, plan = _plan(args, scenario)
+    # Every scheme builds the run, so --mode and --weights are checked for each. The
+    # edge report is computed here, as run.schemes would plan the femtocache scheme too.
+    plan = _report(args, scenario).plan
     if args.scheme == "edge":
         report = expected_delay(plan, scenario.locations, scenario.rates)
     elif args.scheme == "femtocache":
         plan = femtocache_plan(scenario)
         report = expected_delay(plan, scenario.locations, scenario.rates, scheme=SCHEME_FEMTO)
     else:
-        plan = None
-        report = baseline_delay(scenario.demand, scenario.records, scenario.locations,
-                                scenario.rates)
+        plan, report = None, scenario.baseline_report
     cases = [DelayCase(args.case)] if args.case else [DelayCase.BEST, DelayCase.WORST]
-    payload = {"digest": scenario_digest(scenario), "report": delay_report_to_dict(report)}
+    payload = {"digest": scenario.digest, "report": delay_report_to_dict(report)}
     summary_rows = [[case.value, fmt_minutes(report.minutes(case))] for case in cases]
     term_headers = ["location", "probability", "best_minutes", "worst_minutes"]
     term_rows = [[t.location, f"{t.probability:.6f}", fmt_minutes(t.best_minutes),
@@ -150,25 +139,24 @@ def cmd_delay(args, scenario) -> Emission:
 
 
 def cmd_compare(args, scenario) -> Emission:
-    mode = _resolve_mode(args, scenario)
-    report = build_report(scenario, mode, weights=_parse_weights(args))
-    full = report_to_dict(report)
-    payload = {key: full[key] for key in ("digest", "mode", "schemes", "improvements")}
+    run = _report(args, scenario)
+    payload = {"digest": scenario.digest, "mode": run.mode.value,
+               "schemes": schemes_to_dict(run.schemes), "improvements": run.improvements}
     # The table keeps compare_schemes' order (edge, femtocache, baseline); the
     # CSV lists one row per scheme and case, sorted by scheme.
-    case_rows = delay_cases_to_rows([rep for _, rep in sorted(report.schemes.items())],
+    case_rows = delay_cases_to_rows([rep for _, rep in sorted(run.schemes.items())],
                                     (DelayCase.BEST, DelayCase.WORST))
     return Emission("compare", payload, [
-        ("delay comparison", None, SCHEME_HEADERS, schemes_to_rows(report.schemes.items())),
+        ("delay comparison", None, SCHEME_HEADERS, schemes_to_rows(run.schemes.items())),
         (None, "compare.csv", CASE_HEADERS, case_rows),
         ("improvements", "improvements.csv", IMPROVEMENT_HEADERS,
-         improvements_to_rows(report.improvements)),
+         improvements_to_rows(run.improvements)),
     ])
 
 
 def cmd_share(args, scenario) -> Emission:
     summary = sharing_summary(scenario)
-    payload = {"digest": scenario_digest(scenario), **summary}
+    payload = {"digest": scenario.digest, **summary}
     notes = [f"total patients: {summary['total']}"]
     if args.count_hosts:
         notes.append(f"total counting unshared hosts: {summary['total_with_hosts']}")
@@ -180,7 +168,7 @@ def cmd_sweep(args, scenario) -> Emission:
     min_gb = args.min_gb if args.min_gb is not None else scenario.policy.host_requirement_gb
     max_gb = args.max_gb if args.max_gb is not None else max(SWEEP_END_GB, min_gb)
     series = capacity_sweep(min_gb, max_gb, args.step_gb, scenario.policy)
-    payload = {"digest": scenario_digest(scenario),
+    payload = {"digest": scenario.digest,
                "series": [{"capacity_gb": c, "patients": p} for c, p in series]}
     rows = [[f"{c:g}", str(p)] for c, p in series]
     return Emission("sweep", payload,
@@ -230,9 +218,8 @@ def _parse_observation(spec: str):
 
 def cmd_calibrate(args, scenario) -> Emission:
     specs = args.observation or ["edge:best:9.872", "baseline:worst:247.467"]
-    _, edge_plan = _plan(args, scenario)
+    plans = {"edge": _report(args, scenario).plan}
     parsed = [_parse_observation(spec) for spec in specs]
-    plans = {"edge": edge_plan}
     if any(scheme == "femtocache" for scheme, _, _ in parsed):
         plans["femtocache"] = femtocache_plan(scenario)
     observations = []
@@ -246,9 +233,9 @@ def cmd_calibrate(args, scenario) -> Emission:
     rates = calibrate_rates(observations)
     recalibrated = replace(scenario, rates=rates)
     # Placement ignores link rates, so the edge plan holds for the new rates too.
-    schemes = sorted(compare_schemes(recalibrated, edge_plan).items())
+    schemes = sorted(compare_schemes(recalibrated, plans["edge"]).items())
     payload = {
-        "digest": scenario_digest(scenario),
+        "digest": scenario.digest,
         "observations": specs,
         "edge_rate": rates.edge_rate,
         "macro_rate": rates.macro_rate,
@@ -264,23 +251,22 @@ def cmd_calibrate(args, scenario) -> Emission:
 
 
 def cmd_report(args, scenario) -> Emission:
-    mode = _resolve_mode(args, scenario)
-    report = build_report(scenario, mode, weights=_parse_weights(args))
+    run = _report(args, scenario)
     sections = [
-        (f"allocation ({mode.value})", "allocation.csv", PLAN_HEADERS, plan_to_rows(report.plan)),
+        (f"allocation ({run.mode.value})", "allocation.csv", PLAN_HEADERS, plan_to_rows(run.plan)),
         ("delay comparison", "compare.csv", SCHEME_HEADERS,
-         schemes_to_rows(sorted(report.schemes.items()))),
+         schemes_to_rows(sorted(run.schemes.items()))),
         ("improvements", "improvements.csv", IMPROVEMENT_HEADERS,
-         improvements_to_rows(report.improvements)),
-        ("shared capacity", "sharing.csv", SHARING_HEADERS, sharing_to_rows(report.sharing)),
+         improvements_to_rows(run.improvements)),
+        ("shared capacity", "sharing.csv", SHARING_HEADERS, sharing_to_rows(run.sharing)),
     ]
-    payload = report_to_dict(report)
+    payload = report_to_dict(run)
     if args.out:
         payload["emitted"] = [f"{args.out}/{name}"
                               for name in ["report.json"] + [s[1] for s in sections]]
-    notes = [f"digest: {report.digest}", f"total patients: {report.sharing['total']}"]
+    notes = [f"digest: {scenario.digest}", f"total patients: {run.sharing['total']}"]
     return Emission("report", payload, sections,
-                    notes=notes + divergences_to_notes(report.divergences))
+                    notes=notes + divergences_to_notes(payload["divergences"]))
 
 
 def _non_finite(value):

@@ -225,6 +225,13 @@ def _chooser(records: RecordSet, tables: PenaltyTables, mode: PlacementMode,
     if mode is PlacementMode.CUSTOM:
         if weights is None or len(weights) != 3 or not all(map(math.isfinite, weights)):
             raise ValueError("custom mode needs three finite weights (staying, value, combo)")
+        # Each coefficient is within 2**53, so a score is below 2**56 x the largest weight.
+        # Scaling the weights by 2**-k keeps every score finite and, being exact, changes
+        # no comparison; k is 0 unless a score could overflow. A weight that turns
+        # subnormal after scaling loses precision.
+        k = max(0, math.frexp(max(map(abs, weights)))[1] - 967)
+        if k:
+            weights = tuple(math.ldexp(w, -k) for w in weights)
     elif weights is not None:
         raise ValueError("weights apply only to custom mode")
     elif mode is not PlacementMode.REFERENCE:

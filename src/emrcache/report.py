@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .delay import (
     SCHEME_BASELINE,
@@ -20,49 +21,21 @@ from .delay import (
     SCHEME_FEMTO,
     DelayCase,
     DelayReport,
-    baseline_delay,
     expected_delay,
-    femtocache_delay,
     improvement_pct,
 )
 from .placement import REFERENCE_ALLOCATION, AllocationPlan, PlacementMode, plan_scenario
-from .scenario import EdgeScenario, matches_reference_layout, scenario_digest
+from .scenario import EdgeScenario, matches_reference_layout
 from .records import subset_label
 from .sharing import patients_served, scenario_capacity
 
 
-@dataclass(frozen=True)
-class RunReport:
-    digest: str
-    plan: AllocationPlan
-    schemes: dict  # scheme label -> DelayReport
-    improvements: list  # payload of improvement_rows; read-only by convention
-    sharing: dict  # payload of sharing_summary; read-only by convention
-    divergences: list  # payload of plan_divergences; read-only by convention
-
-
 def compare_schemes(scenario: EdgeScenario, plan: AllocationPlan) -> dict:
     """Delay reports by scheme label: the edge-cached scheme under `plan`, then the
-    conventional-cache and no-edge schemes."""
-    reports = (expected_delay(plan, scenario.locations, scenario.rates), femtocache_delay(scenario),
-               baseline_delay(scenario.demand, scenario.records, scenario.locations, scenario.rates))
+    scenario's conventional-cache and no-edge reports."""
+    reports = (expected_delay(plan, scenario.locations, scenario.rates),
+               scenario.femtocache_report, scenario.baseline_report)
     return {report.scheme: report for report in reports}
-
-
-def improvement_rows(schemes: dict) -> list:
-    """How much the edge-cached scheme saves against each reference scheme, as JSON
-    dicts; `pct` is None against a zero reference delay, or when the ratio overflows."""
-    edge = schemes[SCHEME_EDGE]
-    rows = []
-    for ref_label in (SCHEME_FEMTO, SCHEME_BASELINE):
-        ref = schemes[ref_label]
-        for case in (DelayCase.BEST, DelayCase.WORST):
-            ref_minutes, new_minutes = ref.minutes(case), edge.minutes(case)
-            pct = improvement_pct(ref_minutes, new_minutes) if ref_minutes > 0 else math.inf
-            rows.append({"reference_scheme": ref_label, "case": case.value,
-                         "reference_minutes": ref_minutes, "new_minutes": new_minutes,
-                         "pct": pct if math.isfinite(pct) else None})
-    return rows
 
 
 def sharing_summary(scenario: EdgeScenario) -> dict:
@@ -87,17 +60,46 @@ def plan_divergences(scenario: EdgeScenario, mode: PlacementMode, plan: Allocati
             for e in plan.entries if e.subset != REFERENCE_ALLOCATION[e.device_id]]
 
 
+@dataclass(frozen=True)
+class RunReport:
+    """A scenario's results under one placement mode: the plan, built first so a bad mode
+    or weights fail at once, and each read-only result derived from it, on first use."""
+
+    scenario: EdgeScenario
+    mode: PlacementMode
+    plan: AllocationPlan
+
+    @cached_property
+    def schemes(self) -> dict:
+        return compare_schemes(self.scenario, self.plan)
+
+    @cached_property
+    def improvements(self) -> list:
+        """How much the edge-cached scheme saves against each reference scheme, as JSON
+        dicts; `pct` is None against a zero reference delay, or when the ratio overflows."""
+        edge = self.schemes[SCHEME_EDGE]
+        rows = []
+        for ref_label in (SCHEME_FEMTO, SCHEME_BASELINE):
+            ref = self.schemes[ref_label]
+            for case in (DelayCase.BEST, DelayCase.WORST):
+                ref_minutes, new_minutes = ref.minutes(case), edge.minutes(case)
+                pct = improvement_pct(ref_minutes, new_minutes) if ref_minutes > 0 else math.inf
+                rows.append({"reference_scheme": ref_label, "case": case.value,
+                             "reference_minutes": ref_minutes, "new_minutes": new_minutes,
+                             "pct": pct if math.isfinite(pct) else None})
+        return rows
+
+    @cached_property
+    def sharing(self) -> dict:
+        return sharing_summary(self.scenario)
+
+    @cached_property
+    def divergences(self):
+        return plan_divergences(self.scenario, self.mode, self.plan)
+
+
 def build_report(scenario: EdgeScenario, mode: PlacementMode, weights=None) -> RunReport:
-    plan = plan_scenario(scenario, mode, weights=weights)
-    schemes = compare_schemes(scenario, plan)
-    return RunReport(
-        digest=scenario_digest(scenario),
-        plan=plan,
-        schemes=schemes,
-        improvements=improvement_rows(schemes),
-        sharing=sharing_summary(scenario),
-        divergences=plan_divergences(scenario, mode, plan) or [],
-    )
+    return RunReport(scenario, mode, plan_scenario(scenario, mode, weights=weights))
 
 
 PLAN_HEADERS = ["device", "location", "cached", "cached_gb", "residual_gb"]
@@ -166,16 +168,19 @@ def sharing_to_rows(summary: dict) -> list:
             for r in summary["per_device"]]
 
 
+def schemes_to_dict(schemes: dict) -> dict:
+    return {label: delay_report_to_dict(rep) for label, rep in sorted(schemes.items())}
+
+
 def report_to_dict(report: RunReport) -> dict:
     return {
-        "digest": report.digest,
-        "mode": report.plan.mode.value,
+        "digest": report.scenario.digest,
+        "mode": report.mode.value,
         "plan": plan_to_dict(report.plan),
-        "schemes": {label: delay_report_to_dict(rep)
-                    for label, rep in sorted(report.schemes.items())},
+        "schemes": schemes_to_dict(report.schemes),
         "improvements": report.improvements,
         "sharing": report.sharing,
-        "divergences": report.divergences,
+        "divergences": report.divergences or [],
     }
 
 

@@ -12,9 +12,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .delay import DEFAULT_RATES, DemandProfile, LinkRates
+from .delay import DEFAULT_RATES, DemandProfile, LinkRates, baseline_delay, femtocache_delay
 from .dvs import ActivityTimeline, sleep_night_timeline
 from .placement import (
     REFERENCE_ALLOCATION,
@@ -50,7 +50,8 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeScenario:
-    """One complete simulation setup consumed by every other module."""
+    """One complete simulation setup consumed by every other module. What no placement
+    mode changes is computed on first use and kept; a `replace` copy starts without it."""
 
     records: RecordSet
     video_mode: VideoMode
@@ -64,6 +65,18 @@ class EdgeScenario:
 
     def with_video_mode(self, mode: VideoMode) -> "EdgeScenario":
         return replace(self, video_mode=mode)
+
+    @cached_property
+    def digest(self) -> str:
+        return scenario_digest(self)
+
+    @cached_property
+    def femtocache_report(self):
+        return femtocache_delay(self)
+
+    @cached_property
+    def baseline_report(self):
+        return baseline_delay(self.demand, self.records, self.locations, self.rates)
 
 
 # Required subset per reference location for the no-edge comparison: the published one.

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from emrcache.placement import (
     REFERENCE_ALLOCATION,
@@ -17,9 +20,10 @@ from emrcache.placement import (
 )
 from emrcache.records import ALL_CLASSES, ALL_SUBSETS, FileClass, RecordSet, VideoMode
 from emrcache.report import plan_divergences
-from emrcache.scenario import reference_scenario
+from emrcache.scenario import reference_scenario, scenario_from_dict
 
 from _oracles import naive_combo, naive_optimize, naive_size, naive_subsets, random_scenario
+from test_scenario import _valid_documents
 
 TEXT, IMAGE, VIDEO = FileClass.TEXT, FileClass.IMAGE, FileClass.VIDEO
 
@@ -321,3 +325,64 @@ def test_plans_track_tables_that_differ_in_one_entry():
                         plans[tables] = tuple(e.subset for e in plan.entries)
     # On the built-in scenario every variant changes the plan, so a stale row shows.
     assert all(plans[tables] != plans[variants[0]] for tables in variants[1:])
+
+
+def _custom_terms(device, scenario) -> dict:
+    """(staying x classes left out, value of those classes, combination coefficient) for
+    each subset that fits the device, in ALL_SUBSETS order."""
+    tables, records, video_mode = scenario.tables, scenario.records, scenario.video_mode
+    alpha = tables.staying[int(device.location.dwell_hours)]
+    pins = tables.combo or {}
+    terms = {}
+    for subset in naive_subsets():
+        if naive_size(subset, records, video_mode) <= device.capacity_gb + 1e-9:
+            excluded = [c for c in (TEXT, IMAGE, VIDEO) if c not in subset]
+            terms[subset] = (alpha * len(excluded), sum(tables.value[c] for c in excluded),
+                             pins.get(subset, naive_combo(subset, records, video_mode)))
+    return terms
+
+
+# Every staying coefficient 2**53 and every value coefficient -2**53: at weights
+# 1e300,1e300,1 the unscaled products overflow, and each score would be inf + -inf.
+_OVERFLOW_DOCUMENT = {"tables": {"staying": {str(h): 2**53 for h in range(1, 25)},
+                                 "value": {"text": -2**53, "image": -2**53, "video": -2**53}}}
+# A rounding near-tie at ordinary weights: the 0.125-weighted staying term separates
+# the two best subsets exactly, but is below the rounding of the other two terms.
+_NEAR_TIE_DOCUMENT = {
+    "records": {"text_gb": 0.0, "image_gb": 1.0, "video_conventional_gb": 0.0,
+                "video_dvs_gb": 0.0},
+    "locations": [{"name": n, "dwell_hours": h} for n, h in (("a", 1), ("b", 1), ("c", 1),
+                                                              ("d", 21))],
+    "devices": [{"id": n, "capacity_gb": float(n == "d"), "location": n} for n in "abcd"],
+}
+_weight = st.floats(-1e308, 1e308) | st.floats(-10, 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_documents(), st.tuples(_weight, _weight, _weight))
+@example(_OVERFLOW_DOCUMENT, (1e300, 1e300, 1.0))
+@example(_NEAR_TIE_DOCUMENT, (0.125, 1832008094753981.0, 1832008094753981.0))
+def test_custom_mode_is_exact_up_to_float_rounding(document, weights):
+    scenario = scenario_from_dict(document)
+    plan = plan_scenario(scenario, PlacementMode.CUSTOM, weights)
+    # The planner scores with the weights scaled by one power of two, 2**-k.
+    k = max(0, math.frexp(max(map(abs, weights)))[1] - 967)
+    scaled = [math.ldexp(w, -k) for w in weights]
+    for entry, device in zip(plan.entries, scenario.devices):
+        terms = _custom_terms(device, scenario)
+        exact = {s: sum(Fraction(w) * n for w, n in zip(weights, t)) for s, t in terms.items()}
+        want = min(terms, key=lambda s: (exact[s], terms[s][2]))  # first minimum wins
+        got = entry.subset
+        if got == want:
+            continue
+        # A disagreement is a rounding tie: the planner's subset has the least float
+        # score, computed in the planner's order...
+        floats = {s: (scaled[0] * terms[s][0] + scaled[1] * terms[s][1]
+                      + scaled[2] * terms[s][2], terms[s][2]) for s in (got, want)}
+        assert floats[got] <= floats[want], (device, got, want, floats)
+        # ...and the exact scores differ by no more than the float scores' rounding
+        # error, plus the precision a weight loses when scaling makes it subnormal.
+        bound = sum(Fraction(2) ** -50 * sum(abs(Fraction(w) * n) for w, n in zip(weights, t))
+                    + Fraction(2) ** (k - 1072) * (sum(map(abs, t)) + 3)
+                    for t in (terms[got], terms[want]))
+        assert exact[got] - exact[want] <= bound, (device, got, want)
