@@ -9,12 +9,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from collections import namedtuple
 
 from .delay import (
     SCHEME_FEMTO,
     DelayCase,
     MonteCarloConfig,
+    baseline_delay,
     baseline_observation,
     calibrate_rates,
     expected_delay,
@@ -40,7 +41,6 @@ from .report import (
     SHARING_HEADERS,
     RunReport,
     build_report,
-    compare_schemes,
     csv_text,
     delay_cases_to_rows,
     delay_report_to_dict,
@@ -54,7 +54,6 @@ from .report import (
     report_to_dict,
     schemes_to_dict,
     schemes_to_rows,
-    sharing_summary,
     sharing_to_rows,
     write_csv,
     write_json,
@@ -65,16 +64,10 @@ from .sharing import SWEEP_END_GB, capacity_sweep
 SCHEME_NAMES = ("edge", "femtocache", "baseline")  # the --scheme choices
 
 
-@dataclass
-class Emission:
-    """Everything a subcommand wants shown or written."""
-
-    name: str
-    payload: dict
-    # (table title | None, CSV file name | None, headers, rows); `--format csv`
-    # prints the first section with a file name.
-    sections: list
-    notes: list = field(default_factory=list)
+# Everything a subcommand wants shown or written. Each of `sections` is (table title |
+# None, CSV file name | None, headers, rows); `--format csv` prints the first section
+# with a file name.
+Emission = namedtuple("Emission", "name payload sections notes", defaults=((),))
 
 
 def _report(args, scenario) -> RunReport:
@@ -128,8 +121,8 @@ def cmd_delay(args, scenario) -> Emission:
         config = MonteCarloConfig(samples=args.samples, seed=args.seed,
                                   partitions=args.partitions)
         payload["monte_carlo"] = {
-            case.value: asdict(monte_carlo_delay(plan, config, scenario.locations,
-                                                 scenario.rates, case))
+            case.value: monte_carlo_delay(plan, config, scenario.locations, scenario.rates,
+                                          case)._asdict()
             for case in cases}
         mc_rows = [[case, fmt_minutes(r["minutes"]), f"{r['std_error']:.6f}", str(r["samples"])]
                    for case, r in payload["monte_carlo"].items()]
@@ -155,7 +148,7 @@ def cmd_compare(args, scenario) -> Emission:
 
 
 def cmd_share(args, scenario) -> Emission:
-    summary = sharing_summary(scenario)
+    summary = scenario.sharing
     payload = {"digest": scenario.digest, **summary}
     notes = [f"total patients: {summary['total']}"]
     if args.count_hosts:
@@ -218,12 +211,10 @@ def _parse_observation(spec: str):
 
 def cmd_calibrate(args, scenario) -> Emission:
     specs = args.observation or ["edge:best:9.872", "baseline:worst:247.467"]
-    plans = {"edge": _report(args, scenario).plan}
-    parsed = [_parse_observation(spec) for spec in specs]
-    if any(scheme == "femtocache" for scheme, _, _ in parsed):
-        plans["femtocache"] = femtocache_plan(scenario)
+    # Placement ignores link rates, so both plans hold for the calibrated rates too.
+    plans = {"edge": _report(args, scenario).plan, "femtocache": femtocache_plan(scenario)}
     observations = []
-    for scheme, case, minutes in parsed:
+    for scheme, case, minutes in map(_parse_observation, specs):
         if scheme == "baseline":
             observations.append(baseline_observation(scenario.demand, scenario.records,
                                                      scenario.locations, case, minutes))
@@ -231,9 +222,10 @@ def cmd_calibrate(args, scenario) -> Emission:
             observations.append(plan_observation(plans[scheme], scenario.locations,
                                                  case, minutes))
     rates = calibrate_rates(observations)
-    recalibrated = replace(scenario, rates=rates)
-    # Placement ignores link rates, so the edge plan holds for the new rates too.
-    schemes = sorted(compare_schemes(recalibrated, plans["edge"]).items())
+    schemes = sorted({report.scheme: report for report in (
+        expected_delay(plans["edge"], scenario.locations, rates),
+        expected_delay(plans["femtocache"], scenario.locations, rates, scheme=SCHEME_FEMTO),
+        baseline_delay(scenario.demand, scenario.records, scenario.locations, rates))}.items())
     payload = {
         "digest": scenario.digest,
         "observations": specs,

@@ -9,12 +9,12 @@ location's term by the fraction of the day spent there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from types import MappingProxyType
 
 from .placement import AllocationPlan, PlacementMode, plan_scenario, subset_table
-from .records import FileClass, RecordSet, VideoMode, full_emr_size
+from .records import FileClass, RecordSet, VideoMode, full_emr_size, value_class
 
 PROBABILITY_EPS = 1e-9
 # Each partition is one multinomial draw; this caps what a config may ask for.
@@ -26,7 +26,7 @@ MAX_SAMPLES = 2**63 - 1
 SCHEME_EDGE, SCHEME_FEMTO, SCHEME_BASELINE = "edge_dvs", "femtocache", "baseline"
 
 
-@dataclass(frozen=True)
+@value_class
 class LinkRates:
     """Constant link throughputs in GB/s: the edge tier and the macro cell."""
 
@@ -47,7 +47,7 @@ class DelayCase(Enum):
     WORST = "worst"  # the full remainder also ships from the registered hospital
 
 
-@dataclass(frozen=True)
+@value_class
 class DemandProfile:
     """What the nearest hospital needs at each location: a read-only mapping from
     location name to a frozenset of file classes, so a profile can be shared."""
@@ -68,24 +68,14 @@ class DemandProfile:
             raise ValueError(f"demand profile has no entry for location {name!r}") from None
 
 
-@dataclass(frozen=True)
-class LocationTerm:
-    """Unweighted per-location delay, both cases."""
-
-    location: str
-    probability: float
-    best_minutes: float
-    worst_minutes: float
+# Unweighted per-location delay, both cases.
+LocationTerm = namedtuple("LocationTerm", "location probability best_minutes worst_minutes")
 
 
-@dataclass(frozen=True)
-class DelayReport:
+class DelayReport(namedtuple("DelayReport", "scheme best_minutes worst_minutes terms")):
     """Expected delay for one scheme; both cases share the location terms."""
 
-    scheme: str
-    best_minutes: float
-    worst_minutes: float
-    terms: tuple
+    __slots__ = ()
 
     def minutes(self, case: DelayCase) -> float:
         return self.best_minutes if case is DelayCase.BEST else self.worst_minutes
@@ -167,13 +157,8 @@ def improvement_pct(reference_minutes: float, new_minutes: float) -> float:
     return (reference_minutes - new_minutes) / reference_minutes * 100.0
 
 
-@dataclass(frozen=True)
-class RateObservation:
-    """One reported delay tied to the GB it moved on each link tier."""
-
-    edge_gb: float
-    macro_gb: float
-    minutes: float
+# One reported delay tied to the GB it moved on each link tier.
+RateObservation = namedtuple("RateObservation", "edge_gb macro_gb minutes")
 
 
 def plan_observation(plan: AllocationPlan, locations, case: DelayCase,
@@ -225,7 +210,7 @@ def calibrate_rates(observations) -> LinkRates:
     return LinkRates(edge_rate=float(1.0 / inv_rates[0]), macro_rate=float(1.0 / inv_rates[1]))
 
 
-@dataclass(frozen=True)
+@value_class
 class MonteCarloConfig:
     """Sampling setup for the stochastic delay estimate."""
 
@@ -246,13 +231,7 @@ class MonteCarloConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    minutes: float
-    std_error: float
-    samples: int
-    seed: int
-    partitions: int
+MonteCarloResult = namedtuple("MonteCarloResult", "minutes std_error samples seed partitions")
 
 
 def _scale(spread: float, n: int, power: int) -> float:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from enum import IntEnum
+
+from .records import value_class
 
 CIF_FRAME_BITRATE_BPS = 512e3  # standard surveillance-resolution stream
 EVENT_FAST_BITRATE_BPS = 256e3  # event camera under fast motion
@@ -35,7 +36,7 @@ class MotionLevel(IntEnum):
             raise ValueError(f"unknown motion level: {name!r}") from None
 
 
-@dataclass(frozen=True)
+@value_class
 class ActivityTimeline:
     """Piecewise-constant motion profile: ordered (duration_s, level or its name) segments."""
 
@@ -69,7 +70,7 @@ class ActivityTimeline:
         return cls(tuple(pairs))
 
 
-@dataclass(frozen=True)
+@value_class
 class SensorModel:
     """An event camera's bitrate per motion level.
 

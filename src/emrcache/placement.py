@@ -11,7 +11,7 @@ is exhaustive over the 8 subsets, which is exact at this problem size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -25,6 +25,7 @@ from .records import (
     VideoMode,
     parse_subset,
     subset_size,
+    value_class,
 )
 
 # Slack for capacity and size comparisons on float GB values.
@@ -35,7 +36,7 @@ EMPTY_COMBO_PENALTY = 16
 DEFAULT_VALUE_PENALTIES = {FileClass.IMAGE: 1, FileClass.TEXT: 2, FileClass.VIDEO: 3}
 
 
-@dataclass(frozen=True)
+@value_class
 class LocationProfile:
     """A place the patient spends part of the day.
 
@@ -51,7 +52,7 @@ class LocationProfile:
         return self.dwell_hours / 24.0
 
 
-@dataclass(frozen=True)
+@value_class
 class EdgeDevice:
     """A cache node pinned to one location."""
 
@@ -105,7 +106,7 @@ def _coefficient(table: str, key, value) -> int:
     raise ValueError(f"tables.{table}[{key}]: {value!r} is not a whole number within 2**53")
 
 
-@dataclass(frozen=True)
+@value_class
 class PenaltyTables:
     """The three coefficient families used by the placement score.
 
@@ -259,18 +260,11 @@ def _chooser(records: RecordSet, tables: PenaltyTables, mode: PlacementMode,
     return choose
 
 
-@dataclass(frozen=True)
-class PlanEntry:
-    """One device's slice of an allocation."""
-
-    device_id: str
-    location: str
-    subset: frozenset
-    cached_gb: float
-    residual_gb: float
+# One device's slice of an allocation.
+PlanEntry = namedtuple("PlanEntry", "device_id location subset cached_gb residual_gb")
 
 
-@dataclass(frozen=True)
+@value_class
 class AllocationPlan:
     """Cached subset per device plus what stays at the registered hospital."""
 

@@ -1,4 +1,5 @@
-"""Tiered medical record sizes and file-class subset arithmetic.
+"""Tiered medical record sizes and file-class subset arithmetic, and `value_class`,
+the decorator every validated or stateful record class uses.
 
 Sizes are in GB (10^9 bytes) throughout; rates elsewhere use the same GB so
 delay ratios stay unit-consistent.
@@ -7,8 +8,52 @@ delay ratios stay unit-consistent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+
+
+def value_class(cls):
+    """Make `cls` a read-only value. Its `__init__` takes the annotated fields, in order,
+    with the class attributes as defaults, then runs `__post_init__` if there is one.
+    Equality, and hash unless the class defines its own, go by the field values, within
+    the class. Instances keep a `__dict__`, so `functools.cached_property` works on them."""
+    names = cls._fields = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    values = attrgetter(*names)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):  # not every field given in order
+            given = {**defaults, **dict(zip(names, args)), **kwargs}
+            missing = [name for name in names if name not in given]
+            if (missing or len(given) > len(names) or len(args) > len(names)
+                    or not kwargs.keys().isdisjoint(names[:len(args)])):
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, each "
+                                f"once; missing: {', '.join(missing) or 'none'}")
+            args = map(given.__getitem__, names)
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def read_only(self, name, *_):
+        raise AttributeError(f"{cls.__name__} is read-only: cannot change {name!r}")
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is cls else NotImplemented
+
+    def __repr__(self):
+        return f"{cls.__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__setattr__ = cls.__delattr__ = read_only
+    if "__hash__" not in cls.__dict__:
+        cls.__hash__ = lambda self: hash(values(self))
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of a `value_class` instance with `changes` applied; it is validated anew."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
 
 
 class FileClass(Enum):
@@ -34,7 +79,7 @@ class VideoMode(Enum):
     DVS = "dvs"
 
 
-@dataclass(frozen=True)
+@value_class
 class RecordSet:
     """Per-class record sizes in GB.
 

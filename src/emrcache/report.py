@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .delay import (
@@ -26,7 +25,7 @@ from .delay import (
 )
 from .placement import REFERENCE_ALLOCATION, AllocationPlan, PlacementMode, plan_scenario
 from .scenario import EdgeScenario, matches_reference_layout
-from .records import subset_label
+from .records import subset_label, value_class
 from .sharing import patients_served, scenario_capacity
 
 
@@ -60,7 +59,7 @@ def plan_divergences(scenario: EdgeScenario, mode: PlacementMode, plan: Allocati
             for e in plan.entries if e.subset != REFERENCE_ALLOCATION[e.device_id]]
 
 
-@dataclass(frozen=True)
+@value_class
 class RunReport:
     """A scenario's results under one placement mode: the plan, built first so a bad mode
     or weights fail at once, and each read-only result derived from it, on first use."""
@@ -89,9 +88,9 @@ class RunReport:
                              "pct": pct if math.isfinite(pct) else None})
         return rows
 
-    @cached_property
+    @property
     def sharing(self) -> dict:
-        return sharing_summary(self.scenario)
+        return self.scenario.sharing
 
     @cached_property
     def divergences(self):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 
 from .delay import DEFAULT_RATES, DemandProfile, LinkRates, baseline_delay, femtocache_delay
@@ -31,7 +30,9 @@ from .records import (
     VideoMode,
     full_emr_size,
     parse_subset,
+    replace,
     subset_label,
+    value_class,
 )
 from .sharing import SWEEP_END_GB, SharingPolicy, patients_served
 
@@ -48,7 +49,7 @@ class ScenarioError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
+@value_class
 class EdgeScenario:
     """One complete simulation setup consumed by every other module. What no placement
     mode changes is computed on first use and kept; a `replace` copy starts without it."""
@@ -77,6 +78,12 @@ class EdgeScenario:
     @cached_property
     def baseline_report(self):
         return baseline_delay(self.demand, self.records, self.locations, self.rates)
+
+    @cached_property
+    def sharing(self) -> dict:
+        from .report import sharing_summary  # report imports this module
+
+        return sharing_summary(self)
 
 
 # Required subset per reference location for the no-edge comparison: the published one.
@@ -181,7 +188,7 @@ def _flat_section(section: str, data, cls):
     """`cls` built from `data`, a JSON object keyed by `cls`'s fields. Its int values
     (bool aside) become floats, so an int beyond the float range fails at load,
     naming the field, and not later in arithmetic."""
-    _check_keys(section, data, [f.name for f in fields(cls)])
+    _check_keys(section, data, cls._fields)
     return cls(**{key: _as_float(f"{section}.{key}", value)
                   if isinstance(value, int) and not isinstance(value, bool) else value
                   for key, value in data.items()})
@@ -189,14 +196,14 @@ def _flat_section(section: str, data, cls):
 
 def _flat_dict(obj) -> dict:
     """The JSON form of a `_flat_section` value: each field as a float."""
-    return {f.name: float(getattr(obj, f.name)) for f in fields(obj)}
+    return {name: float(getattr(obj, name)) for name in obj._fields}
 
 
 def scenario_from_dict(data: dict) -> EdgeScenario:
     """Build and validate a scenario; omitted sections keep the reference scenario's."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _check_keys("scenario", data, [f.name for f in fields(EdgeScenario)])
+    _check_keys("scenario", data, EdgeScenario._fields)
     ref = reference_scenario()
     given = {}
     try:
@@ -228,7 +235,7 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
         if "rates" in data:
             given["rates"] = _flat_section("rates", data["rates"], LinkRates)
         if "tables" in data:
-            names = [f.name for f in fields(PenaltyTables)]
+            names = PenaltyTables._fields
             raw = _check_keys("tables", data["tables"], names)
             given["tables"] = replace(ref.tables, **{
                 key: _check_keys(f"tables.{key}", raw[key])

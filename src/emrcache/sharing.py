@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import value_class
 
 _EPS = 1e-9
 # Largest capacity grid a sweep builds; each point is one output row.
@@ -11,7 +12,7 @@ MAX_SWEEP_POINTS = 1_000_000
 SWEEP_END_GB = 600.0  # where a sweep ends by default, unless the host requirement lies beyond
 
 
-@dataclass(frozen=True)
+@value_class
 class SharingPolicy:
     """Space the owner needs before guests fit, and the per-guest slice.
 

@@ -324,7 +324,7 @@ def test_a_negative_seed_exits_2_naming_the_option(capsys):
     assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
 
 
-def test_calibrate_plans_femtocache_only_when_observed(monkeypatch, capsys):
+def test_calibrate_plans_each_scheme_once(monkeypatch, capsys):
     calls = []
     original = placement.plan_scenario
 
@@ -342,7 +342,7 @@ def test_calibrate_plans_femtocache_only_when_observed(monkeypatch, capsys):
     code, _, _ = _run(capsys, "calibrate", "--observation", "femtocache:best:16.59",
                       "--observation", "baseline:worst:247.467")
     assert code == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("mode", ["omission", "paper", "min-combo", None])
@@ -443,16 +443,22 @@ def test_importing_the_package_loads_no_submodule():
 
 
 # Runs one CLI command in a fresh interpreter and prints whether numpy was
-# loaded after `import emrcache`, after `import emrcache.cli`, and at exit.
+# loaded after `import emrcache`, after `import emrcache.cli`, and at exit; then
+# which of the costly stdlib modules `import emrcache.cli` loaded, and which were
+# loaded by exit, each as a comma-joined list or "-" for none.
 _NUMPY_PROBE = """
 import contextlib, io, sys
 import emrcache
 after_package = "numpy" in sys.modules
+before_cli = set(sys.modules)
 import emrcache.cli
 after_cli = "numpy" in sys.modules
+costly = {"dataclasses", "inspect", "typing"} - before_cli
+loaded_by_cli = sorted(costly & set(sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):
     code = emrcache.cli.main(sys.argv[1:])
-print(code, after_package, after_cli, "numpy" in sys.modules)
+print(code, after_package, after_cli, "numpy" in sys.modules,
+      ",".join(loaded_by_cli) or "-", ",".join(sorted(costly & set(sys.modules))) or "-")
 """
 
 
@@ -470,4 +476,7 @@ def test_numpy_is_loaded_only_by_monte_carlo_and_calibrate(argv, loads_numpy):
     result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=_src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["0", "False", "False", str(loads_numpy)]
+    fields = result.stdout.split()
+    assert fields[:5] == ["0", "False", "False", str(loads_numpy), "-"]
+    # numpy itself imports `inspect`; without it no command loads any of the three.
+    assert loads_numpy or fields[5] == "-"

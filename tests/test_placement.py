@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -18,7 +17,7 @@ from emrcache.placement import (
     staying_penalty,
     value_penalty,
 )
-from emrcache.records import ALL_CLASSES, ALL_SUBSETS, FileClass, RecordSet, VideoMode
+from emrcache.records import ALL_CLASSES, ALL_SUBSETS, FileClass, RecordSet, VideoMode, replace
 from emrcache.report import plan_divergences
 from emrcache.scenario import reference_scenario, scenario_from_dict
 
@@ -308,7 +307,7 @@ def test_plans_track_tables_that_differ_in_one_entry():
     for _ in range(2):
         for base, tables_list in cases:
             for tables in tables_list:
-                scenario_t = dataclasses.replace(base, tables=tables)
+                scenario_t = replace(base, tables=tables)
                 for mode in (PlacementMode.OMISSION, PlacementMode.CUSTOM):
                     weights = (0.1, 0.3, 0.7) if mode is PlacementMode.CUSTOM else None
                     plan = plan_scenario(scenario_t, mode, weights)

@@ -1,13 +1,13 @@
 """Who computes each derived result, and how often.
 
-The scenario owns what no placement mode changes (its digest and the two
-reference schemes' reports); a RunReport owns the rest, computed on first use.
+The scenario owns what no placement mode changes (its digest, the two reference
+schemes' reports and the sharing summary); a RunReport owns the rest, computed on
+first use.
 Calls are counted by replacing a function in every emrcache module that binds it.
 """
 
 import json
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -15,6 +15,7 @@ from emrcache import delay, placement, report, scenario as scenario_module
 from emrcache.cli import main
 from emrcache.delay import LinkRates
 from emrcache.placement import PlacementMode
+from emrcache.records import replace
 from emrcache.report import build_report, report_to_dict
 from emrcache.scenario import load_scenario, reference_scenario, scenario_to_dict
 
@@ -48,11 +49,12 @@ def test_each_result_is_computed_once_per_scenario(monkeypatch, scenario_path):
     digests = _count_calls(monkeypatch, scenario_module, "scenario_digest")
     conventional = _count_calls(monkeypatch, delay, "femtocache_plan")
     plans = _count_calls(monkeypatch, placement, "plan_scenario")
+    sharing = _count_calls(monkeypatch, report, "sharing_summary")
     for mode, weights in ((PlacementMode.OMISSION, None), (PlacementMode.MIN_COMBO, None),
                           (PlacementMode.CUSTOM, (0.5, 2.0, 3.0))):
         report_to_dict(build_report(scenario, mode, weights))
-    # Three edge plans, one conventional plan, one digest.
-    assert (len(digests), len(conventional), len(plans)) == (1, 1, 4)
+    # Three edge plans, one conventional plan, one digest, one sharing summary.
+    assert (len(digests), len(conventional), len(plans), len(sharing)) == (1, 1, 4, 1)
 
     # A copy with other rates starts with no results of its own.
     rates = scenario.rates
