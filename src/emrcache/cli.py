@@ -54,6 +54,7 @@ from .report import (
     report_to_dict,
     schemes_to_dict,
     schemes_to_rows,
+    sharing_to_dict,
     sharing_to_rows,
     write_csv,
     write_json,
@@ -149,7 +150,7 @@ def cmd_compare(args, scenario) -> Emission:
 
 def cmd_share(args, scenario) -> Emission:
     summary = scenario.sharing
-    payload = {"digest": scenario.digest, **summary}
+    payload = {"digest": scenario.digest, **sharing_to_dict(summary)}
     notes = [f"total patients: {summary['total']}"]
     if args.count_hosts:
         notes.append(f"total counting unshared hosts: {summary['total_with_hosts']}")

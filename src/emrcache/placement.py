@@ -193,12 +193,15 @@ REFERENCE_DEVICES = (
     EdgeDevice("EE", 10.0, LocationProfile("other", 1)),
 )
 
+# Built-in record sizes: the defaults.
+REFERENCE_RECORDS = RecordSet()
+
 
 def is_reference_device(device: EdgeDevice, records: RecordSet, mode: VideoMode) -> bool:
     """True when the device, the record sizes and the video mode are the built-in ones.
 
     Device equality compares id, capacity, location name and dwell hours."""
-    return device in REFERENCE_DEVICES and records == RecordSet() and mode is VideoMode.DVS
+    return device in REFERENCE_DEVICES and records == REFERENCE_RECORDS and mode is VideoMode.DVS
 
 
 # (staying, value, combo) weights of the fixed modes; ints keep their scores exact.

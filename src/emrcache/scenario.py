@@ -18,6 +18,7 @@ from .dvs import ActivityTimeline, sleep_night_timeline
 from .placement import (
     REFERENCE_ALLOCATION,
     REFERENCE_DEVICES,
+    REFERENCE_RECORDS,
     EdgeDevice,
     LocationProfile,
     PenaltyTables,
@@ -94,7 +95,7 @@ _REFERENCE_DEMAND = {d.location.name: REFERENCE_ALLOCATION[d.id] for d in REFERE
 def reference_scenario() -> EdgeScenario:
     """The built-in five-location scenario with calibrated link rates."""
     return EdgeScenario(
-        records=RecordSet(),
+        records=REFERENCE_RECORDS,
         video_mode=VideoMode.DVS,
         locations=tuple(d.location for d in REFERENCE_DEVICES),
         devices=REFERENCE_DEVICES,

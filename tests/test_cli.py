@@ -11,6 +11,7 @@ from emrcache.cli import main
 from emrcache.delay import MAX_PARTITIONS
 from emrcache.report import json_text
 from emrcache.sharing import MAX_SWEEP_POINTS
+from test_cli_golden import GOLDEN, OUT_CASES, run_cli
 
 
 def _run(capsys, *argv):
@@ -159,6 +160,26 @@ def test_out_writes_json_and_csv(tmp_path, capsys):
     rows = (out_dir / "compare.csv").read_text().strip().splitlines()
     assert rows[0] == "scheme,case,minutes"
     assert len(rows) == 7
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_out_rewrites_each_artifact_in_place(name, tmp_path, monkeypatch):
+    """Over longer stale files, each artifact ends up equal to its golden, with no stale
+    tail left, and keeps its inode: the writer cuts the file after writing to it, and
+    neither truncates on open nor replaces the file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
+    goldens = sorted((GOLDEN / name / "out").iterdir())
+    inodes = {}
+    for golden in goldens:
+        stale = tmp_path / "out" / golden.name
+        stale.write_bytes(b"stale\n" * golden.stat().st_size)
+        inodes[golden.name] = stale.stat().st_ino
+    assert run_cli(OUT_CASES[name])[0] == 0
+    for golden in goldens:
+        written = tmp_path / "out" / golden.name
+        assert written.read_bytes() == golden.read_bytes(), golden.name
+        assert written.stat().st_ino == inodes[golden.name], golden.name
 
 
 def test_exit_code_2_for_invalid_scenario(tmp_path, capsys):

@@ -6,13 +6,14 @@ first use.
 Calls are counted by replacing a function in every emrcache module that binds it.
 """
 
+import argparse
 import json
 import sys
 
 import pytest
 
 from emrcache import delay, placement, report, scenario as scenario_module
-from emrcache.cli import main
+from emrcache.cli import cmd_share, main
 from emrcache.delay import LinkRates
 from emrcache.placement import PlacementMode
 from emrcache.records import replace
@@ -95,3 +96,18 @@ def test_compare_computes_no_sharing_and_no_divergences(monkeypatch, capsys, sce
     assert main([command, "--scenario", scenario_path, "--format", "json"]) == 0
     capsys.readouterr()
     assert (len(sharing), len(divergences)) == (computed, computed)
+
+
+def test_payloads_hand_out_copies_of_the_cached_sharing_summary():
+    """Editing the sharing section of one payload, rows included, changes no later payload,
+    even on the built-in scenario that the whole process shares."""
+    paper = load_scenario("paper")
+    expected = json.loads(json.dumps(paper.sharing))
+    assert expected["total"] == 147
+    reported = report_to_dict(build_report(paper, PlacementMode.OMISSION))["sharing"]
+    shared = cmd_share(argparse.Namespace(count_hosts=False), paper).payload
+    for section in (reported, shared):
+        section["total"] = 0
+        section["per_device"][0]["patients"] = 0
+    later = report_to_dict(build_report(load_scenario("paper"), PlacementMode.REFERENCE))
+    assert later["sharing"] == expected
