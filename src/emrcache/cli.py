@@ -12,16 +12,19 @@ import sys
 from collections import namedtuple
 
 from .delay import (
+    SCHEME_BASELINE,
+    SCHEME_EDGE,
     SCHEME_FEMTO,
     DelayCase,
     MonteCarloConfig,
-    baseline_delay,
-    baseline_observation,
+    baseline_loads,
     calibrate_rates,
+    delay_report,
     expected_delay,
     femtocache_plan,
+    load_observation,
     monte_carlo_delay,
-    plan_observation,
+    plan_loads,
 )
 from .dvs import (
     CIF_FRAME_BITRATE_BPS,
@@ -212,21 +215,15 @@ def _parse_observation(spec: str):
 
 def cmd_calibrate(args, scenario) -> Emission:
     specs = args.observation or ["edge:best:9.872", "baseline:worst:247.467"]
-    # Placement ignores link rates, so both plans hold for the calibrated rates too.
-    plans = {"edge": _report(args, scenario).plan, "femtocache": femtocache_plan(scenario)}
-    observations = []
-    for scheme, case, minutes in map(_parse_observation, specs):
-        if scheme == "baseline":
-            observations.append(baseline_observation(scenario.demand, scenario.records,
-                                                     scenario.locations, case, minutes))
-        else:
-            observations.append(plan_observation(plans[scheme], scenario.locations,
-                                                 case, minutes))
-    rates = calibrate_rates(observations)
-    schemes = sorted({report.scheme: report for report in (
-        expected_delay(plans["edge"], scenario.locations, rates),
-        expected_delay(plans["femtocache"], scenario.locations, rates, scheme=SCHEME_FEMTO),
-        baseline_delay(scenario.demand, scenario.records, scenario.locations, rates))}.items())
+    # Placement ignores link rates, so each load table holds for the calibrated rates too.
+    locations = scenario.locations
+    tables = {"edge": (SCHEME_EDGE, plan_loads(_report(args, scenario).plan, locations)),
+              "femtocache": (SCHEME_FEMTO, plan_loads(femtocache_plan(scenario), locations)),
+              "baseline": (SCHEME_BASELINE,
+                           baseline_loads(scenario.demand, scenario.records, locations))}
+    rates = calibrate_rates(load_observation(tables[scheme][1], case, minutes)
+                            for scheme, case, minutes in map(_parse_observation, specs))
+    schemes = sorted((label, delay_report(label, loads, rates)) for label, loads in tables.values())
     payload = {
         "digest": scenario.digest,
         "observations": specs,
@@ -236,8 +233,7 @@ def cmd_calibrate(args, scenario) -> Emission:
                                "worst_minutes": rep.worst_minutes}
                        for label, rep in schemes},
     }
-    notes = [f"edge_rate: {rates.edge_rate:.9f} GB/s",
-             f"macro_rate: {rates.macro_rate:.9f} GB/s"]
+    notes = [f"edge_rate: {rates.edge_rate:.9f} GB/s", f"macro_rate: {rates.macro_rate:.9f} GB/s"]
     return Emission("calibration", payload,
                     [("delays reproduced with calibrated rates", "calibration.csv",
                       SCHEME_HEADERS, schemes_to_rows(schemes))], notes=notes)

@@ -1,9 +1,10 @@
 """Two-tier transmission-delay model, rate calibration, and Monte Carlo estimation.
 
-A request at some location first pulls whatever its edge device caches at
-the fast edge rate; in the worst case the remainder ships from the
-registered hospital over the slower macro link. Expected delay weights each
-location's term by the fraction of the day spent there.
+Each scheme is a load table: one plain tuple (LocationProfile, edge GB, best-case macro
+GB, worst-case macro GB) per location, as a namedtuple would slow every Monte Carlo
+estimate. Edge GB move at the fast edge rate, macro GB from the registered hospital
+over the slower macro link, and expected delay weights each location's term by the
+fraction of the day spent there.
 """
 
 from __future__ import annotations
@@ -96,24 +97,43 @@ def _check_probabilities(locations):
         raise ValueError(f"location probabilities sum to {total}, expected 1")
 
 
-def expected_delay(plan: AllocationPlan, locations, rates: LinkRates,
-                   scheme: str = SCHEME_EDGE) -> DelayReport:
-    """Dwell-weighted delay report for an allocation plan.
-
-    The best case bills exactly the cached files at the edge rate; the worst
-    case adds the uncached remainder at the macro rate.
-    """
+def plan_loads(plan: AllocationPlan, locations) -> tuple:
+    """Load table of an edge-cached plan: the cached GB, then the residual in the worst case."""
     _check_probabilities(locations)
+    rows = []
+    for loc in locations:  # a plain loop: faster than a comprehension on Python 3.11
+        entry = plan.entry_for(loc.name)
+        rows.append((loc, entry.cached_gb, 0.0, entry.residual_gb))
+    return tuple(rows)
+
+
+def baseline_loads(demand: DemandProfile, records: RecordSet, locations) -> tuple:
+    """Load table of the no-edge scheme: each location's demand, or the full conventional set."""
+    _check_probabilities(locations)
+    sizes = subset_table(records, VideoMode.CONVENTIONAL)
+    full = full_emr_size(records, VideoMode.CONVENTIONAL)
+    return tuple((loc, 0.0, sizes[demand.for_location(loc.name)][0], full) for loc in locations)
+
+
+def delay_report(scheme: str, loads, rates: LinkRates) -> DelayReport:
+    """Dwell-weighted delay report of a load table."""
     terms = []
     best = worst = 0.0
-    for loc in locations:
-        entry = plan.entry_for(loc.name)
-        t_best = transfer_minutes(entry.cached_gb, rates.edge_rate)
-        t_worst = t_best + transfer_minutes(entry.residual_gb, rates.macro_rate)
-        terms.append(LocationTerm(loc.name, loc.probability, t_best, t_worst))
-        best += loc.probability * t_best
-        worst += loc.probability * t_worst
+    for loc, edge_gb, best_gb, worst_gb in loads:
+        t_edge = transfer_minutes(edge_gb, rates.edge_rate)
+        t_best = t_edge + transfer_minutes(best_gb, rates.macro_rate)
+        t_worst = t_edge + transfer_minutes(worst_gb, rates.macro_rate)
+        p = loc.probability
+        terms.append(LocationTerm(loc.name, p, t_best, t_worst))
+        best += p * t_best
+        worst += p * t_worst
     return DelayReport(scheme, best, worst, tuple(terms))
+
+
+def expected_delay(plan: AllocationPlan, locations, rates: LinkRates,
+                   scheme: str = SCHEME_EDGE) -> DelayReport:
+    """Dwell-weighted delay report for an allocation plan."""
+    return delay_report(scheme, plan_loads(plan, locations), rates)
 
 
 def femtocache_plan(scenario) -> AllocationPlan:
@@ -130,24 +150,8 @@ def femtocache_delay(scenario) -> DelayReport:
 
 def baseline_delay(demand: DemandProfile, records: RecordSet, locations,
                    rates: LinkRates) -> DelayReport:
-    """Delay report with no edge caching and conventional video.
-
-    Every transfer runs at the macro rate: the best case ships just what
-    each location needs, the worst case ships the complete record set.
-    """
-    _check_probabilities(locations)
-    full = full_emr_size(records, VideoMode.CONVENTIONAL)
-    t_worst = transfer_minutes(full, rates.macro_rate)
-    sizes = subset_table(records, VideoMode.CONVENTIONAL)
-    terms = []
-    best = worst = 0.0
-    for loc in locations:
-        need = sizes[demand.for_location(loc.name)][0]
-        t_best = transfer_minutes(need, rates.macro_rate)
-        terms.append(LocationTerm(loc.name, loc.probability, t_best, t_worst))
-        best += loc.probability * t_best
-        worst += loc.probability * t_worst
-    return DelayReport(SCHEME_BASELINE, best, worst, tuple(terms))
+    """Delay report with no edge caching and conventional video."""
+    return delay_report(SCHEME_BASELINE, baseline_loads(demand, records, locations), rates)
 
 
 def improvement_pct(reference_minutes: float, new_minutes: float) -> float:
@@ -161,28 +165,23 @@ def improvement_pct(reference_minutes: float, new_minutes: float) -> float:
 RateObservation = namedtuple("RateObservation", "edge_gb macro_gb minutes")
 
 
+def load_observation(loads, case: DelayCase, minutes: float) -> RateObservation:
+    """Calibration row of a load table: its dwell-weighted GB on each tier in `case`."""
+    macro = 2 if case is DelayCase.BEST else 3
+    return RateObservation(sum(row[0].probability * row[1] for row in loads),
+                           sum(row[0].probability * row[macro] for row in loads), minutes)
+
+
 def plan_observation(plan: AllocationPlan, locations, case: DelayCase,
                      minutes: float) -> RateObservation:
     """Coefficient row for a reported delay of an edge-cached scheme."""
-    _check_probabilities(locations)
-    edge = sum(loc.probability * plan.entry_for(loc.name).cached_gb for loc in locations)
-    macro = 0.0
-    if case is DelayCase.WORST:
-        macro = sum(loc.probability * plan.entry_for(loc.name).residual_gb for loc in locations)
-    return RateObservation(edge, macro, minutes)
+    return load_observation(plan_loads(plan, locations), case, minutes)
 
 
 def baseline_observation(demand: DemandProfile, records: RecordSet, locations,
                          case: DelayCase, minutes: float) -> RateObservation:
     """Coefficient row for a reported delay of the no-edge scheme."""
-    _check_probabilities(locations)
-    if case is DelayCase.WORST:
-        macro = full_emr_size(records, VideoMode.CONVENTIONAL)
-    else:
-        sizes = subset_table(records, VideoMode.CONVENTIONAL)
-        macro = sum(loc.probability * sizes[demand.for_location(loc.name)][0]
-                    for loc in locations)
-    return RateObservation(0.0, macro, minutes)
+    return load_observation(baseline_loads(demand, records, locations), case, minutes)
 
 
 def calibrate_rates(observations) -> LinkRates:
@@ -205,7 +204,10 @@ def calibrate_rates(observations) -> LinkRates:
     if np.linalg.matrix_rank(a) < 2:
         raise ValueError("observations do not separate the two rates")
     inv_rates, *_ = np.linalg.lstsq(a, y, rcond=None)
-    if not all(0 < inv < math.inf for inv in inv_rates):  # 1/inf would be a zero rate
+    # A reciprocal whose largest term is rounding noise is 0, an infinite rate; 1/inf is 0.
+    noise = max(a.shape) * np.finfo(float).eps * np.abs(y).max()
+    if not all(noise < inv * scale and inv < math.inf
+               for inv, scale in zip(inv_rates, np.abs(a).max(axis=0))):
         raise ValueError("calibration produced a non-positive rate")
     return LinkRates(edge_rate=float(1.0 / inv_rates[0]), macro_rate=float(1.0 / inv_rates[1]))
 

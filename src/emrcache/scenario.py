@@ -14,6 +14,7 @@ import math
 from functools import cached_property, lru_cache
 
 from .delay import DEFAULT_RATES, DemandProfile, LinkRates, baseline_delay, femtocache_delay
+from .delay import transfer_minutes
 from .dvs import ActivityTimeline, sleep_night_timeline
 from .placement import (
     REFERENCE_ALLOCATION,
@@ -155,7 +156,7 @@ def validate(scenario: EdgeScenario) -> list:
     # No delay term exceeds the minutes to move the full conventional set at the slower rate.
     full_gb = full_emr_size(scenario.records, VideoMode.CONVENTIONAL)
     for key, rate in _flat_dict(scenario.rates).items():
-        if not math.isfinite(full_gb / rate / 60.0):
+        if not math.isfinite(transfer_minutes(full_gb, rate)):
             violations.append(f"rates.{key}: moving {full_gb} GB at {rate} GB/s overflows")
     # A default run counts guests up to the largest device, or to the default sweep's
     # end plus half its 1 GB step.

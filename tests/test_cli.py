@@ -340,6 +340,29 @@ def test_calibrate_rejects_non_finite_observation_minutes(capsys, minutes):
     assert err == f"error: observation minutes must be finite, got {spec!r}\n"
 
 
+# Equal best and worst delays of one edge scheme fit 1/macro_rate = 0 exactly, an
+# infinite macro rate; the least-squares solve leaves only rounding noise of either sign.
+@pytest.mark.parametrize("best,worst,rejected", [
+    ("edge:best:0.125", "edge:worst:0.125", True),
+    ("edge:best:1", "edge:worst:1", True),
+    ("edge:best:9.872", "edge:worst:9.872", True),
+    ("edge:best:24.875", "edge:worst:24.875", True),
+    ("edge:best:247.467", "edge:worst:247.467", True),
+    ("femtocache:best:16.59", "femtocache:worst:16.59", True),
+    ("edge:best:9.872", "edge:worst:9.8720001", False),
+])
+def test_calibrate_rejects_a_rate_fitted_to_rounding_noise(capsys, best, worst, rejected):
+    code, out, err = _run(capsys, "calibrate", "--observation", best, "--observation", worst,
+                          "--format", "json")
+    if rejected:
+        assert (code, out, err) == (2, "", "error: calibration produced a non-positive rate\n")
+    else:
+        assert code == 0
+        payload = json.loads(out)
+        assert 0 < payload["macro_rate"] < 1e7
+        assert payload["reproduced"]["edge_dvs"]["worst_minutes"] == pytest.approx(9.8720001)
+
+
 def test_a_negative_seed_exits_2_naming_the_option(capsys):
     code, out, err = _run(capsys, "delay", "--monte-carlo", "--samples", "1000", "--seed", "-1")
     assert (code, out, err) == (2, "", "error: seed must be >= 0\n")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from emrcache.delay import (
     DEFAULT_RATES,
@@ -13,6 +14,7 @@ from emrcache.delay import (
     calibrate_rates,
     expected_delay,
     femtocache_delay,
+    femtocache_plan,
     improvement_pct,
     monte_carlo_delay,
     plan_observation,
@@ -20,9 +22,10 @@ from emrcache.delay import (
 )
 from emrcache.placement import AllocationPlan, PlacementMode, PlanEntry, plan_scenario
 from emrcache.records import ALL_SUBSETS, RecordSet, full_emr_size, subset_size
-from emrcache.scenario import reference_scenario
+from emrcache.scenario import reference_scenario, scenario_from_dict
 
 from _oracles import random_scenario
+from test_scenario import _valid_documents
 
 
 def _fixture_plan(scenario):
@@ -254,6 +257,29 @@ def test_calibrate_round_trips_synthetic_rates():
     recovered = calibrate_rates(observations)
     assert recovered.edge_rate == pytest.approx(chosen.edge_rate, rel=1e-9)
     assert recovered.macro_rate == pytest.approx(chosen.macro_rate, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_documents())
+def test_calibration_rows_reproduce_every_schemes_minutes(document):
+    """At the scenario's own rates, each scheme's calibration row, in either case, prices
+    out to the minutes that scheme's delay report gives for that case."""
+    scenario = scenario_from_dict(document)
+    locations, rates = scenario.locations, scenario.rates
+    plans = (plan_scenario(scenario, PlacementMode.OMISSION), femtocache_plan(scenario))
+    schemes = [(expected_delay(plans[0], locations, rates),
+                lambda case: plan_observation(plans[0], locations, case, 0.0)),
+               (femtocache_delay(scenario),
+                lambda case: plan_observation(plans[1], locations, case, 0.0)),
+               (baseline_delay(scenario.demand, scenario.records, locations, rates),
+                lambda case: baseline_observation(scenario.demand, scenario.records, locations,
+                                                  case, 0.0))]
+    for report, observation in schemes:
+        for case in DelayCase:
+            row = observation(case)
+            minutes = (transfer_minutes(row.edge_gb, rates.edge_rate)
+                       + transfer_minutes(row.macro_gb, rates.macro_rate))
+            assert minutes == pytest.approx(report.minutes(case), rel=1e-12)
 
 
 def test_monte_carlo_matches_closed_form():
