@@ -15,7 +15,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .placement import AllocationPlan, PlacementMode, plan_scenario, subset_table
-from .records import FileClass, RecordSet, VideoMode, full_emr_size, value_class
+from .records import ALL_SUBSETS, RecordSet, VideoMode, full_emr_size, value_class
 
 PROBABILITY_EPS = 1e-9
 # Each partition is one multinomial draw; this caps what a config may ask for.
@@ -35,8 +35,9 @@ class LinkRates:
     macro_rate: float
 
     def __post_init__(self):
-        if self.edge_rate <= 0 or self.macro_rate <= 0:
-            raise ValueError("link rates must be positive")
+        for name in self._fields:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"rates.{name} must be positive")
 
 
 # Calibrated defaults that reproduce the reported delay set (ratio 7.5).
@@ -58,7 +59,7 @@ class DemandProfile:
     def __post_init__(self):
         requirements = {name: frozenset(subset) for name, subset in self.requirements.items()}
         for name, subset in requirements.items():
-            if not all(isinstance(c, FileClass) for c in subset):
+            if subset not in ALL_SUBSETS:
                 raise ValueError(f"demand[{name}]: a subset holds file classes only")
         object.__setattr__(self, "requirements", MappingProxyType(requirements))
 

@@ -29,9 +29,9 @@ class MotionLevel(IntEnum):
     FAST = 2
 
     @classmethod
-    def parse(cls, name: str) -> "MotionLevel":
+    def parse(cls, name) -> "MotionLevel":
         try:
-            return cls[str(name).strip().upper()]
+            return name if isinstance(name, cls) else cls[str(name).strip().upper()]
         except KeyError:
             raise ValueError(f"unknown motion level: {name!r}") from None
 
@@ -43,8 +43,8 @@ class ActivityTimeline:
     segments: tuple = ()
 
     def __post_init__(self):
-        segments = tuple((float(duration), level if isinstance(level, MotionLevel)
-                          else MotionLevel.parse(level)) for duration, level in self.segments)
+        segments = tuple((float(duration), MotionLevel.parse(level))
+                         for duration, level in self.segments)
         if not all(0 <= duration < math.inf for duration, _ in segments):
             raise ValueError("timeline segment durations must be finite and >= 0")
         object.__setattr__(self, "segments", segments)

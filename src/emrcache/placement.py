@@ -98,12 +98,33 @@ def combo_penalty(subset, records: RecordSet, mode: VideoMode) -> int:
     return subset_table(records, mode)[frozenset(subset)][1]
 
 
-def _coefficient(table: str, key, value) -> int:
-    """`value` as an int. A coefficient is an int or an integral float within 2**53, so it
-    is exact as a float and no custom-mode score overflows; bools and strings are rejected."""
-    if type(value) in (int, float) and abs(value) <= 2**53 and value == int(value):
-        return int(value)
-    raise ValueError(f"tables.{table}[{key}]: {value!r} is not a whole number within 2**53")
+# Per coefficient family: what a key must be, how one is read, and the keys it must cover.
+_CLASS_KEYS = {**{c.value: c for c in CLASS_ORDER}, **{c: c for c in CLASS_ORDER}}
+_FAMILIES = {"staying": ("a whole hour", int, "hour", range(1, 25)),
+             "value": ("a file class name", _CLASS_KEYS.__getitem__, "file class", CLASS_ORDER),
+             "combo": ("a subset label", parse_subset, None, ())}
+
+
+def coefficients(table: str, raw) -> dict:
+    """`raw`, one `PenaltyTables` family keyed as in a scenario file or as the tables hold
+    it, as a plain dict of read keys and coefficients. A coefficient is an int or an
+    integral float within 2**53, so it is exact as a float and no custom-mode score
+    overflows; bools and strings are rejected."""
+    words, read_key, noun, needed = _FAMILIES[table]
+    out = {}
+    for key, value in raw.items():
+        try:
+            read = read_key(key)
+        except (KeyError, ValueError):
+            raise ValueError(f"tables.{table}[{key}]: {key!r} is not {words}") from None
+        if not (type(value) in (int, float) and abs(value) <= 2**53 and value == int(value)):
+            raise ValueError(
+                f"tables.{table}[{key}]: {value!r} is not a whole number within 2**53")
+        out[read] = int(value)
+    for need in needed:
+        if need not in out:
+            raise ValueError(f"tables.{table} must cover {noun} {need}")
+    return out
 
 
 @value_class
@@ -122,22 +143,23 @@ class PenaltyTables:
     combo: dict | None = None
 
     def __post_init__(self):
-        staying = {int(k): _coefficient("staying", k, v) for k, v in self.staying.items()}
-        for h in range(1, 25):
-            if h not in staying:
-                raise ValueError(f"tables.staying must cover hour {h}")
-        value = {FileClass(k): _coefficient("value", k, v) for k, v in self.value.items()}
-        for c in CLASS_ORDER:
-            if c not in value:
-                raise ValueError(f"tables.value must cover file class {c.value}")
-        object.__setattr__(self, "staying", MappingProxyType(staying))
-        object.__setattr__(self, "value", MappingProxyType(value))
-        if self.combo is not None:
-            combo = {parse_subset(k): _coefficient("combo", k, v) for k, v in self.combo.items()}
-            object.__setattr__(self, "combo", MappingProxyType(combo))
+        self._hold(coefficients("staying", self.staying), coefficients("value", self.value),
+                   None if self.combo is None else coefficients("combo", self.combo))
+
+    @classmethod
+    def checked(cls, staying, value, combo=None) -> "PenaltyTables":
+        """Tables from families that `coefficients` has read, or that other tables hold;
+        nothing is read again."""
+        tables = object.__new__(cls)
+        tables._hold(staying, value, combo)
+        return tables
+
+    def _hold(self, staying, value, combo):
+        proxy = lambda m: m if m is None or type(m) is MappingProxyType else MappingProxyType(m)
+        self.__dict__.update(staying=proxy(staying), value=proxy(value), combo=proxy(combo))
         # Hashed once: the tables key the score-row cache on every plan.
-        object.__setattr__(self, "_hash", hash(tuple(
-            None if m is None else frozenset(m.items()) for m in (staying, value, self.combo))))
+        self.__dict__["_hash"] = hash((frozenset(staying.items()), frozenset(value.items()),
+                                       None if combo is None else frozenset(combo.items())))
 
     def __hash__(self):
         return self._hash

@@ -18,12 +18,13 @@ def value_class(cls):
     Equality, and hash unless the class defines its own, go by the field values, within
     the class. Instances keep a `__dict__`, so `functools.cached_property` works on them."""
     names = cls._fields = tuple(cls.__annotations__)
+    count = len(names)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     values = attrgetter(*names)
     post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(names):  # not every field given in order
+        if kwargs or len(args) != count:  # not every field given in order
             given = {**defaults, **dict(zip(names, args)), **kwargs}
             missing = [name for name in names if name not in given]
             if (missing or len(given) > len(names) or len(args) > len(names)
@@ -31,7 +32,9 @@ def value_class(cls):
                 raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, each "
                                 f"once; missing: {', '.join(missing) or 'none'}")
             args = map(given.__getitem__, names)
-        self.__dict__.update(zip(names, args))
+        state = self.__dict__
+        for name, value in zip(names, args):  # quicker than state.update(zip(...))
+            state[name] = value
         if post_init is not None:
             post_init(self)
 
@@ -146,10 +149,25 @@ def subset_label(subset) -> str:
     return _LABELS[frozenset(subset)]
 
 
+# Each subset by its label, by its own classes and by the set of its class names: the
+# spellings that `parse_subset` looks up instead of parsing.
+_SPELLINGS = {"": frozenset(), **{label: s for s, label in _LABELS.items()},
+              **{s: s for s in ALL_SUBSETS},
+              **{frozenset(c.value for c in s): s for s in ALL_SUBSETS}}
+
+
 def parse_subset(names) -> frozenset:
-    """Build a subset from class names; accepts 'text+image' or an iterable."""
+    """Build a subset from class names; accepts 'text+image' or an iterable. Names are
+    matched without case or surrounding space."""
+    try:
+        if isinstance(names, str):
+            return _SPELLINGS[names]
+        if isinstance(names, (list, tuple, frozenset)):
+            return _SPELLINGS[frozenset(names)]
+    except (KeyError, TypeError):  # not a canonical spelling, or an unhashable name
+        pass
     if isinstance(names, str):
-        names = [] if names in ("", "(none)") else names.split("+")
+        names = names.split("+")
     classes = set()
     for name in names:
         try:

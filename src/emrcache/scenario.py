@@ -1,9 +1,10 @@
-"""Scenario definitions: loading, validation, defaults, and the built-in setup.
+"""Scenario definitions: the document schema, loading, validation, and the built-in setup.
 
 A scenario file is a single JSON document with top-level keys `records`,
 `video_mode`, `locations`, `devices`, `rates`, `tables`, `demand`, `policy`
 and `timeline`. Omitted keys keep the built-in reference scenario's section;
-unknown keys are rejected so typos fail loudly.
+unknown keys are rejected so typos fail loudly. `SECTIONS` is the schema: each
+field's type rule, how a section is read, and its canonical JSON form.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import namedtuple
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .delay import DEFAULT_RATES, DemandProfile, LinkRates, baseline_delay, femtocache_delay
 from .delay import transfer_minutes
-from .dvs import ActivityTimeline, sleep_night_timeline
+from .dvs import ActivityTimeline, MotionLevel, sleep_night_timeline
 from .placement import (
     REFERENCE_ALLOCATION,
     REFERENCE_DEVICES,
@@ -23,14 +26,15 @@ from .placement import (
     EdgeDevice,
     LocationProfile,
     PenaltyTables,
+    coefficients,
     is_reference_device,
+    subset_table,
 )
 from .records import (
     ALL_CLASSES,
-    CLASS_ORDER,
+    ALL_SUBSETS,
     RecordSet,
     VideoMode,
-    full_emr_size,
     parse_subset,
     replace,
     subset_label,
@@ -119,15 +123,17 @@ def validate(scenario: EdgeScenario) -> list:
     """Every violated invariant, as human-readable strings; empty when valid."""
     violations = []
     names = [loc.name for loc in scenario.locations]
+    known = set(names)
     if not names:
         violations.append("locations: at least one location is required")
-    if len(set(names)) != len(names):
+    if len(known) != len(names):
         violations.append("locations: names must be unique")
+    staying = scenario.tables.staying
     for loc in scenario.locations:
         if not 1 <= loc.dwell_hours <= 24:
             violations.append(
                 f"locations[{loc.name}].dwell_hours: {loc.dwell_hours} outside [1, 24]")
-        if loc.dwell_hours not in scenario.tables.staying:
+        if loc.dwell_hours not in staying:
             violations.append(f"locations[{loc.name}].dwell_hours: no staying coefficient "
                               f"for dwell time {loc.dwell_hours}")
     total = sum(loc.dwell_hours for loc in scenario.locations)
@@ -140,22 +146,24 @@ def validate(scenario: EdgeScenario) -> list:
     for device in scenario.devices:
         if device.capacity_gb < 0:
             violations.append(f"devices[{device.id}].capacity_gb: must be >= 0")
-        if device.location.name not in names:
+        if device.location.name not in known:
             violations.append(
                 f"devices[{device.id}].location: {device.location.name!r} is not a scenario location")
     covered = [d.location.name for d in scenario.devices]
     if sorted(covered) != sorted(names):
         violations.append("devices: must map one device to each location (bijection)")
 
+    requirements = scenario.demand.requirements
     for name in names:
-        if name not in scenario.demand.requirements:
+        if name not in requirements:
             violations.append(f"demand[{name}]: missing required subset")
-    for name in scenario.demand.requirements:
-        if name not in names:
+    for name in requirements:
+        if name not in known:
             violations.append(f"demand[{name}]: references an unknown location")
     # No delay term exceeds the minutes to move the full conventional set at the slower rate.
-    full_gb = full_emr_size(scenario.records, VideoMode.CONVENTIONAL)
-    for key, rate in _flat_dict(scenario.rates).items():
+    full_gb = subset_table(scenario.records, VideoMode.CONVENTIONAL)[ALL_CLASSES][0]
+    for key in scenario.rates._fields:
+        rate = float(getattr(scenario.rates, key))
         if not math.isfinite(transfer_minutes(full_gb, rate)):
             violations.append(f"rates.{key}: moving {full_gb} GB at {rate} GB/s overflows")
     # A default run counts guests up to the largest device, or to the default sweep's
@@ -172,93 +180,181 @@ def _check_keys(section: str, data, allowed=None) -> dict:
     """`data`, once it is a JSON object with no keys outside `allowed` (None allows any)."""
     if not isinstance(data, dict):
         raise ScenarioError(f"{section}: must be a JSON object")
-    unknown = [] if allowed is None else sorted(set(data) - set(allowed))
+    unknown = None if allowed is None else data.keys() - allowed
     if unknown:
-        raise ScenarioError(f"{section}: unknown keys {unknown}")
+        raise ScenarioError(f"{section}: unknown keys {sorted(unknown)}")
     return data
 
 
-def _as_float(field: str, value) -> float:
-    """float(value), with an int beyond the float range rejected naming the field."""
+# A type rule: the words that name it, the types it takes, and how such a value becomes
+# the loaded one (None keeps it); a conversion rejects a value with ValueError or KeyError.
+Rule = namedtuple("Rule", "words types convert")
+NUMBER = Rule("a number", frozenset({int, float}), float)  # true and false are not numbers
+STRING = Rule("a string", frozenset({str}), None)
+VIDEO_MODE = Rule("'dvs' or 'conventional'", frozenset({str, VideoMode}), VideoMode)
+SUBSET = Rule("a list of class names or a subset label", frozenset({str, list, tuple, dict}),
+              parse_subset)
+LEVEL = Rule("a motion level: none, slow or fast", frozenset({str, MotionLevel}),
+             MotionLevel.parse)
+
+
+def _read(rule: Rule, values: list, name) -> list:
+    """`values`, each read by `rule`; the first one rejected, the i-th, is named `name(i)`."""
     try:
-        return float(value)
-    except OverflowError as exc:
-        raise ScenarioError(f"{field}: {exc}") from exc
+        if set(map(type, values)) <= rule.types:
+            return values if rule.convert is None else list(map(rule.convert, values))
+    except (ValueError, KeyError, OverflowError):
+        pass
+    for i, value in enumerate(values):  # one by one, to name the rejection
+        try:
+            if type(value) in rule.types:
+                if rule.convert is not None:
+                    rule.convert(value)
+                continue
+        except OverflowError as exc:  # an int beyond the float range
+            raise ScenarioError(f"{name(i)}: {exc}") from exc
+        except (ValueError, KeyError):
+            pass
+        raise ScenarioError(f"{name(i)}: {value!r} is not {rule.words}")
 
 
-def _flat_section(section: str, data, cls):
-    """`cls` built from `data`, a JSON object keyed by `cls`'s fields. Its int values
-    (bool aside) become floats, so an int beyond the float range fails at load,
-    naming the field, and not later in arithmetic."""
-    _check_keys(section, data, cls._fields)
-    return cls(**{key: _as_float(f"{section}.{key}", value)
-                  if isinstance(value, int) and not isinstance(value, bool) else value
-                  for key, value in data.items()})
+def _items(key: str, data) -> list:
+    """The items of a JSON array. Like the tuple a caller in code may pass, any iterable
+    gives its items; a JSON object gives its keys and a string its characters."""
+    try:
+        return list(data)
+    except TypeError:
+        raise ScenarioError(f"{key}: must be a JSON array") from None
 
 
-def _flat_dict(obj) -> dict:
-    """The JSON form of a `_flat_section` value: each field as a float."""
+def _fields(key: str, rule: Rule, data, loaded):
+    """The section's class from a JSON object of its fields, each read by `rule`; a field
+    left out takes the class default, the reference scenario's value, if there is one."""
+    cls = type(getattr(reference_scenario(), key))
+    _check_keys(key, data, cls._fields)
+    missing = [field for field in cls._fields if field not in data and not hasattr(cls, field)]
+    if missing:
+        raise ScenarioError(f"{key}.{missing[0]}: required")
+    return cls(*_read(rule, [data[f] if f in data else getattr(cls, f) for f in cls._fields],
+                      lambda i: f"{key}.{cls._fields[i]}"))
+
+
+def _rows(key: str, rules: dict, data) -> list:
+    """An array of objects with the keys of `rules`, as one list per key of the values read
+    by its rule. A row is named by its first field, or else by its position."""
+    rows, keys, first = _items(key, data), rules.keys(), next(iter(rules))
+
+    def label(i):
+        return rows[i][first] if type(rows[i].get(first)) is str else i
+
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or row.keys() != keys:
+            _check_keys(f"{key}[]", row, rules)
+            missing = next(field for field in rules if field not in row)
+            raise ScenarioError(f"{key}[{label(i)}].{missing}: required")
+    return [_read(rule, [row[field] for row in rows], lambda i: f"{key}[{label(i)}].{field}")
+            for field, rule in rules.items()]
+
+
+def _locations(key: str, rules: dict, data, loaded) -> tuple:
+    return tuple(map(LocationProfile, *_rows(key, rules, data)))
+
+
+def _devices(key: str, rules: dict, data, loaded) -> tuple:
+    ids, capacities, names = _rows(key, rules, data)
+    by_name = {loc.name: loc for loc in loaded["locations"]}
+    for device_id, name in zip(ids, names):
+        if name not in by_name:
+            raise ScenarioError(f"{key}[{device_id}].location: unknown location {name!r}")
+    return tuple(map(EdgeDevice, ids, capacities, map(by_name.get, names)))
+
+
+def _tables(key: str, rules: dict, data, loaded) -> PenaltyTables:
+    """Each family given is read once; one left out or null is the reference's, as it is."""
+    _check_keys(key, data, rules)
+    given = {family: _check_keys(f"{key}.{family}", data[family]) for family in rules
+             if data.get(family) is not None}
+    ref = reference_scenario().tables
+    return PenaltyTables.checked(*(coefficients(family, given[family]) if family in given
+                                   else getattr(ref, family) for family in rules))
+
+
+def _demand(key: str, rule: Rule, data, loaded) -> DemandProfile:
+    names = list(map(str, _check_keys(key, data)))
+    subsets = _read(rule, list(data.values()), lambda i: f"{key}[{names[i]}]")
+    return DemandProfile(dict(zip(names, subsets)))
+
+
+def _timeline(key: str, rules: tuple, data, loaded) -> ActivityTimeline:
+    entries = _items(key, data)
+    for i, entry in enumerate(entries):
+        if type(entry) not in (list, tuple) or len(entry) != len(rules):
+            raise ScenarioError(f"{key}[{i}]: {entry!r} is not a [duration_seconds, level] pair")
+    return ActivityTimeline(tuple(zip(*[
+        _read(rule, [entry[n] for entry in entries], lambda i: f"{key}[{i}]")
+        for n, rule in enumerate(rules)])))
+
+
+def _flat_form(obj) -> dict:
     return {name: float(getattr(obj, name)) for name in obj._fields}
+
+
+def _tables_form(tables) -> dict:
+    return {"staying": dict(zip(map(str, tables.staying), tables.staying.values())),
+            "value": {c.value: n for c, n in tables.value.items()},
+            "combo": None if tables.combo is None else {subset_label(s): n
+                                                        for s, n in tables.combo.items()}}
+
+
+_CLASS_NAMES = {s: tuple(sorted(c.value for c in s)) for s in ALL_SUBSETS}
+
+# The scenario document, in `EdgeScenario` field order, so a device finds its location.
+# Per section: its type rules (one for every field or entry, one per key, or one per
+# element of a pair), its reader `read(key, rules, data, sections read before it)`, and
+# its canonical JSON form, which the digest hashes with sorted keys. A `tables` family
+# is read by `placement.coefficients`; `validate` holds the rules that join sections.
+Section = namedtuple("Section", "rules read form")
+SECTIONS = {
+    "records": Section(NUMBER, _fields, _flat_form),
+    "video_mode": Section(VIDEO_MODE, lambda key, rule, data, loaded: _read(
+        rule, [data], lambda i: key)[0], attrgetter("value")),
+    "locations": Section({"name": STRING, "dwell_hours": NUMBER}, _locations, lambda locations: [
+        {"name": loc.name, "dwell_hours": float(loc.dwell_hours)} for loc in locations]),
+    "devices": Section({"id": STRING, "capacity_gb": NUMBER, "location": STRING}, _devices,
+                       lambda devices: [{"id": d.id, "capacity_gb": float(d.capacity_gb),
+                                         "location": d.location.name} for d in devices]),
+    "rates": Section(NUMBER, _fields, _flat_form),
+    "tables": Section(dict.fromkeys(PenaltyTables._fields), _tables, _tables_form),
+    "demand": Section(SUBSET, _demand, lambda demand: {
+        name: _CLASS_NAMES[subset] for name, subset in demand.requirements.items()}),
+    "policy": Section(NUMBER, _fields, _flat_form),
+    "timeline": Section((NUMBER, LEVEL), _timeline, lambda timeline: [
+        [duration, level.name.lower()] for duration, level in timeline.segments]),
+}
 
 
 def scenario_from_dict(data: dict) -> EdgeScenario:
     """Build and validate a scenario; omitted sections keep the reference scenario's."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _check_keys("scenario", data, EdgeScenario._fields)
-    ref = reference_scenario()
-    given = {}
+    _check_keys("scenario", data, SECTIONS)
+    ref, loaded = reference_scenario(), {}
     try:
-        if "records" in data:
-            given["records"] = _flat_section("records", data["records"], RecordSet)
-        if "video_mode" in data:
-            given["video_mode"] = VideoMode(data["video_mode"])
-        if "locations" in data:
-            locations = []
-            for row in data["locations"]:
-                _check_keys("locations[]", row, ("name", "dwell_hours"))
-                locations.append(LocationProfile(str(row["name"]), _as_float(
-                    f"locations[{row['name']}].dwell_hours", row["dwell_hours"])))
-            given["locations"] = tuple(locations)
-        if "devices" in data:
-            by_name = {loc.name: loc for loc in given.get("locations", ref.locations)}
-            devices = []
-            for row in data["devices"]:
-                _check_keys("devices[]", row, ("id", "capacity_gb", "location"))
-                loc_name = str(row["location"])
-                if loc_name not in by_name:
-                    raise ScenarioError(
-                        f"devices[{row.get('id')}].location: unknown location {loc_name!r}")
-                devices.append(EdgeDevice(str(row["id"]), _as_float(
-                    f"devices[{row['id']}].capacity_gb", row["capacity_gb"]), by_name[loc_name]))
-            given["devices"] = tuple(devices)
-        elif "locations" in data:
-            raise ScenarioError("devices: required when locations are customized")
-        if "rates" in data:
-            given["rates"] = _flat_section("rates", data["rates"], LinkRates)
-        if "tables" in data:
-            names = PenaltyTables._fields
-            raw = _check_keys("tables", data["tables"], names)
-            given["tables"] = replace(ref.tables, **{
-                key: _check_keys(f"tables.{key}", raw[key])
-                for key in names if raw.get(key) is not None})
-        if "demand" in data:
-            given["demand"] = DemandProfile({
-                str(k): parse_subset(v) for k, v in _check_keys("demand", data["demand"]).items()})
-        elif "locations" in data:
-            given["demand"] = DemandProfile({loc.name: _REFERENCE_DEMAND.get(loc.name, ALL_CLASSES)
-                                             for loc in given["locations"]})
-        if "policy" in data:
-            given["policy"] = _flat_section("policy", data["policy"], SharingPolicy)
-        if "timeline" in data:
-            given["timeline"] = ActivityTimeline(tuple(
-                (_as_float(f"timeline[{i}]", d), lv) for i, (d, lv) in enumerate(data["timeline"])))
+        for key, section in SECTIONS.items():
+            if key in data:
+                loaded[key] = section.read(key, section.rules, data[key], loaded)
+            elif key == "devices" and "locations" in data:
+                raise ScenarioError("devices: required when locations are customized")
+            elif key == "demand" and "locations" in data:
+                loaded[key] = DemandProfile({loc.name: _REFERENCE_DEMAND.get(loc.name, ALL_CLASSES)
+                                             for loc in loaded["locations"]})
+            else:
+                loaded[key] = getattr(ref, key)
     except ScenarioError:
         raise
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+    except ValueError as exc:  # a value class's own invariant; each message names its field
         raise ScenarioError(str(exc)) from exc
-
-    scenario = replace(ref, **given)
+    scenario = EdgeScenario(*loaded.values())
     violations = validate(scenario)
     if violations:
         raise ScenarioError(violations)
@@ -267,28 +363,12 @@ def scenario_from_dict(data: dict) -> EdgeScenario:
 
 def scenario_to_dict(scenario: EdgeScenario) -> dict:
     """Canonical JSON-ready form; load(save(s)) is the identity."""
-    return {
-        "records": _flat_dict(scenario.records),
-        "video_mode": scenario.video_mode.value,
-        "locations": [{"name": loc.name, "dwell_hours": float(loc.dwell_hours)}
-                      for loc in scenario.locations],
-        "devices": [{"id": d.id, "capacity_gb": float(d.capacity_gb),
-                     "location": d.location.name}
-                    for d in scenario.devices],
-        "rates": _flat_dict(scenario.rates),
-        "tables": {
-            "staying": {str(h): c for h, c in sorted(scenario.tables.staying.items())},
-            "value": {c.value: scenario.tables.value[c] for c in CLASS_ORDER},
-            "combo": (None if scenario.tables.combo is None else
-                      {subset_label(s): v for s, v in sorted(
-                          scenario.tables.combo.items(), key=lambda kv: subset_label(kv[0]))}),
-        },
-        "demand": {name: sorted(c.value for c in subset)
-                   for name, subset in sorted(scenario.demand.requirements.items())},
-        "policy": _flat_dict(scenario.policy),
-        "timeline": [[duration, level.name.lower()]
-                     for duration, level in scenario.timeline.segments],
-    }
+    return {key: section.form(getattr(scenario, key)) for key, section in SECTIONS.items()}
+
+
+@lru_cache(maxsize=None)
+def _reference_form(key: str):
+    return SECTIONS[key].form(getattr(reference_scenario(), key))
 
 
 def _finite_float(token: str) -> float:
@@ -300,24 +380,33 @@ def _finite_float(token: str) -> float:
 
 
 def _finite_int(token: str) -> int:
-    _finite_float(token)
+    if len(token) > 308:  # a shorter integer is below the float maximum
+        _finite_float(token)
     return int(token)
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_int=_finite_int,
+                            parse_constant=_finite_float)
 
 
 def load_scenario(path_or_name) -> EdgeScenario:
     """Load a scenario file; the name 'paper' selects the built-in scenario."""
     if path_or_name == "paper":
         return reference_scenario()
-    with open(path_or_name) as fh:
-        try:
-            data = json.load(fh, parse_float=_finite_float, parse_int=_finite_int,
-                             parse_constant=_finite_float)
-        except ValueError as exc:
-            raise ScenarioError(f"parse error in {path_or_name}: {exc}") from exc
+    with open(path_or_name, "rb") as fh:  # JSON text is UTF-8, whatever the locale
+        text = fh.read()
+    try:  # `json.loads` rejects a byte-order mark; one decoder reads every other file
+        text = text.decode()
+        data = json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
+    except ValueError as exc:
+        raise ScenarioError(f"parse error in {path_or_name}: {exc}") from exc
     return scenario_from_dict(data)
 
 
 def scenario_digest(scenario: EdgeScenario) -> str:
-    """Content digest of the canonical form, for reproducibility stamps."""
-    canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """Content digest of the canonical form, for reproducibility stamps. A section shared
+    with the reference scenario takes a form built once per process."""
+    ref = reference_scenario()
+    canonical = {key: _reference_form(key) if getattr(scenario, key) is getattr(ref, key)
+                 else section.form(getattr(scenario, key)) for key, section in SECTIONS.items()}
+    return hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()

@@ -24,10 +24,11 @@ class SharingPolicy:
     guest_requirement_gb: float = 3.0
 
     def __post_init__(self):
-        if self.host_requirement_gb <= 0 or self.guest_requirement_gb <= 0:
-            raise ValueError("sharing requirements must be positive")
+        for name in self._fields:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"policy.{name} must be positive")
         if self.host_requirement_gb < self.guest_requirement_gb:
-            raise ValueError("host requirement cannot be below the guest requirement")
+            raise ValueError("policy.host_requirement_gb cannot be below guest_requirement_gb")
 
 
 def patients_served(capacity_gb: float, policy: SharingPolicy) -> int:

@@ -1,18 +1,21 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import re
 import tempfile
+from collections import OrderedDict
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from emrcache.cli import main
-from emrcache.delay import DemandProfile
-from emrcache.records import ALL_CLASSES, FileClass
+from emrcache.delay import DemandProfile, LinkRates
+from emrcache.placement import LocationProfile
+from emrcache.records import ALL_CLASSES, CLASS_ORDER, FileClass, RecordSet, replace, subset_label
 from emrcache.scenario import (
     ScenarioError,
     load_scenario,
@@ -84,6 +87,12 @@ def test_malformed_json_is_a_scenario_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="parse error"):
         load_scenario(path)
+    # A file is UTF-8 JSON text: a byte-order mark or an invalid byte is a parse error too.
+    for content, reason in ((b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM"),
+                            (b"\xff{}", "'utf-8' codec can't decode byte 0xff")):
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError, match=f"^parse error in .*: {reason}"):
+            load_scenario(path)
 
 
 def test_missing_file_raises_oserror():
@@ -252,6 +261,80 @@ def test_scenario_from_dict_raises_only_scenario_errors(document):
         pass
 
 
+_ONE_LOCATION = [{"name": "a", "dwell_hours": 24}]
+_VIOLATION_START = re.compile(r"(scenario|records|video_mode|locations|devices|rates|tables"
+                              r"|demand|policy|timeline)[.\[: ]")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents)
+@example({"locations": [{"name": "a"}],
+          "devices": [{"id": "x", "capacity_gb": 1, "location": "a"}]})
+@example({"locations": _ONE_LOCATION, "devices": [{"id": "x", "location": "a"}]})
+@example({"locations": [{"name": "a", "dwell": 24}], "devices": []})
+@example({"records": {"text_gb": "3"}})
+@example({"demand": {"home": 5, "work": ["text"], "family": ["text"], "friend": ["text"],
+                     "other": ["text"]}})
+@example({"timeline": "abc"})
+@example({"video_mode": "x"})
+@example({"rates": {"edge_rate": 1}})
+@example({"policy": {"host_requirement_gb": 1, "guest_requirement_gb": 2}})
+@example({"tables": {"combo": {"sound": 1}}})
+def test_every_load_rejection_starts_with_its_section(document):
+    try:
+        scenario_from_dict(document)
+    except ScenarioError as err:
+        for violation in err.violations:
+            assert _VIOLATION_START.match(violation), violation
+
+
+@pytest.mark.parametrize("document,field", [
+    ({"locations": [{"name": "a", "dwell_hours": "24"}],
+      "devices": [{"id": "x", "capacity_gb": 1, "location": "a"}]}, "locations[a].dwell_hours"),
+    ({"locations": _ONE_LOCATION, "devices": [{"id": "x", "capacity_gb": "1", "location": "a"}]},
+     "devices[x].capacity_gb"),
+    ({"records": {"text_gb": "3"}}, "records.text_gb"),
+    ({"rates": {"edge_rate": "1", "macro_rate": 1}}, "rates.edge_rate"),
+    ({"policy": {"guest_requirement_gb": "3"}}, "policy.guest_requirement_gb"),
+    ({"tables": {"staying": {str(h): "1" for h in range(1, 25)}}}, "tables.staying[1]"),
+    ({"timeline": [["10", "fast"]]}, "timeline[0]"),
+    ({"records": {"text_gb": True}}, "records.text_gb"),
+    ({"locations": [{"name": [1], "dwell_hours": 24}],
+      "devices": [{"id": "x", "capacity_gb": 1, "location": "a"}]}, "locations[0].name"),
+    ({"locations": _ONE_LOCATION, "devices": [{"id": 7, "capacity_gb": 1, "location": "a"}]},
+     "devices[0].id"),
+    ({"locations": _ONE_LOCATION, "devices": [{"id": "x", "capacity_gb": 1, "location": ["a"]}]},
+     "devices[x].location"),
+], ids=["dwell-string", "capacity-string", "records-string", "rates-string", "policy-string",
+        "tables-string", "timeline-string", "records-bool", "name-list", "id-number",
+        "location-list"])
+def test_each_field_has_one_type_rule(document, field):
+    with pytest.raises(ScenarioError, match="^" + re.escape(field + ": ")):
+        scenario_from_dict(document)
+
+
+_ONE_DEVICE = [{"id": "x", "capacity_gb": 1, "location": "a"}]
+
+
+@pytest.mark.parametrize("document,expected", [
+    ({"timeline": {}}, {"timeline": []}),
+    ({"timeline": ""}, {"timeline": []}),
+    ({"timeline": ((10, "fast"),)}, {"timeline": [[10, "fast"]]}),
+    ({"locations": (dict(_ONE_LOCATION[0]),), "devices": tuple(_ONE_DEVICE)},
+     {"locations": _ONE_LOCATION, "devices": _ONE_DEVICE}),
+    ({"locations": [OrderedDict(name="a", dwell_hours=24)],
+      "devices": [OrderedDict(_ONE_DEVICE[0])]},
+     {"locations": _ONE_LOCATION, "devices": _ONE_DEVICE}),
+    ({"locations": _ONE_LOCATION, "devices": _ONE_DEVICE, "demand": {"a": {"text": 1}}},
+     {"locations": _ONE_LOCATION, "devices": _ONE_DEVICE, "demand": {"a": ["text"]}}),
+], ids=["timeline-empty-object", "timeline-empty-string", "timeline-tuple", "rows-tuple",
+        "rows-ordered-dict", "demand-object"])
+def test_other_containers_load_as_their_items(document, expected):
+    """A tuple, a dict subclass, or a JSON object read for its keys loads as the plain
+    JSON it stands for, and an empty object or string is an empty array."""
+    assert scenario_from_dict(document) == scenario_from_dict(expected)
+
+
 _CLASS_NAMES = ("text", "image", "video")
 _LABELS = ("(none)", "text", "image", "video", "text+image", "text+video", "image+video",
            "text+image+video")
@@ -317,6 +400,100 @@ def test_save_then_load_is_the_identity(document):
         loaded = load_scenario(path)
     assert loaded == scenario
     assert scenario_digest(loaded) == scenario_digest(scenario)
+
+
+def _flat(obj) -> dict:
+    return {name: float(getattr(obj, name)) for name in obj._fields}
+
+
+def _canonical(scenario) -> dict:
+    """The canonical form the digest hashes, built apart from the digest's own text
+    writer, field by field from the scenario's values."""
+    tables = scenario.tables
+    return {
+        "records": _flat(scenario.records),
+        "video_mode": scenario.video_mode.value,
+        "locations": [{"name": loc.name, "dwell_hours": float(loc.dwell_hours)}
+                      for loc in scenario.locations],
+        "devices": [{"id": d.id, "capacity_gb": float(d.capacity_gb), "location": d.location.name}
+                    for d in scenario.devices],
+        "rates": _flat(scenario.rates),
+        "tables": {
+            "staying": {str(h): c for h, c in sorted(tables.staying.items())},
+            "value": {c.value: tables.value[c] for c in CLASS_ORDER},
+            "combo": (None if tables.combo is None else
+                      {subset_label(s): v for s, v in sorted(
+                          tables.combo.items(), key=lambda kv: subset_label(kv[0]))}),
+        },
+        "demand": {name: sorted(c.value for c in subset)
+                   for name, subset in sorted(scenario.demand.requirements.items())},
+        "policy": _flat(scenario.policy),
+        "timeline": [[duration, level.name.lower()]
+                     for duration, level in scenario.timeline.segments],
+    }
+
+
+# Every section given, with names that JSON escapes; each example below leaves out one
+# optional section (locations with devices' names kept valid, devices with locations).
+_FULL_DOCUMENT = {
+    "records": {"text_gb": 4, "image_gb": 80.5, "video_conventional_gb": 100,
+                "video_dvs_gb": 9.25},
+    "video_mode": "conventional",
+    "locations": [{"name": n, "dwell_hours": h}
+                  for n, h in (("home", 12), ("work", 6), ("family", 3), ("friend", 2),
+                               ("other", 1))],
+    "devices": [{"id": i, "capacity_gb": c, "location": n}
+                for i, c, n in (("Eé", 50, "home"), ("E\"B", 7.5, "work"),
+                                ("EC", 0, "family"), ("ED", 1e3, "friend"),
+                                ("EE", 90, "other"))],
+    "rates": {"edge_rate": 0.5, "macro_rate": 1e-3},
+    "tables": {"staying": {str(h): 30 - h for h in range(1, 25)},
+               "value": {"text": 1, "image": 2.0, "video": 3},
+               "combo": {"text+image": 7, "video": -1}},
+    "demand": {"home": ["video", "text"], "work": "image", "family": [], "friend": ["text"],
+               "other": "text+image+video"},
+    "policy": {"host_requirement_gb": 50, "guest_requirement_gb": 2.5},
+    "timeline": [[10, "fast"], [0.5, "none"]],
+}
+_OMITTED = [("locations",), ("locations", "devices"), ("records",), ("video_mode",),
+            ("rates",), ("tables",), ("demand",), ("policy",), ("timeline",)]
+
+
+def _without(*keys) -> dict:
+    return {key: value for key, value in _FULL_DOCUMENT.items() if key not in keys}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_documents())
+@example({})
+@example(_FULL_DOCUMENT)
+@example({"tables": {"combo": {"image": 3}}})
+@example({"tables": {"value": {"text": 5, "image": 1, "video": 3}, "combo": None}})
+@example(_without(*_OMITTED[0]))
+@example(_without(*_OMITTED[1]))
+@example(_without(*_OMITTED[2]))
+@example(_without(*_OMITTED[3]))
+@example(_without(*_OMITTED[4]))
+@example(_without(*_OMITTED[5]))
+@example(_without(*_OMITTED[6]))
+@example(_without(*_OMITTED[7]))
+@example(_without(*_OMITTED[8]))
+def test_digest_hashes_the_sorted_canonical_form(document):
+    scenario = scenario_from_dict(document)
+    canonical = json.dumps(_canonical(scenario), sort_keys=True)
+    assert scenario_digest(scenario) == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("section,value", [
+    ("rates", LinkRates(math.inf, 1.0)), ("records", RecordSet(text_gb=math.nan)),
+    ("locations", (LocationProfile("home", -math.inf),)),
+], ids=["infinite-rate", "nan-size", "infinite-dwell"])
+def test_digest_and_canonical_form_of_a_built_scenario_with_non_finite_numbers(section, value):
+    """No file loads with such a number, but a scenario built in code can hold one."""
+    scenario = replace(reference_scenario(), **{section: value})
+    canonical = json.dumps(_canonical(scenario), sort_keys=True)
+    assert scenario_digest(scenario) == hashlib.sha256(canonical.encode()).hexdigest()
+    assert json.dumps(scenario_to_dict(scenario), sort_keys=True) == canonical
 
 
 # Every subcommand at its defaults, the Monte Carlo estimate for both plan-based
