@@ -75,11 +75,11 @@ Emission = namedtuple("Emission", "name payload sections notes", defaults=((),))
 
 
 def _report(args, scenario) -> RunReport:
-    """The run that --mode and --weights select; `_add_mode` documents the default mode."""
+    """The run that --mode and --weights select; `_MODE` documents the default mode."""
     weights = None
     if args.weights is not None:
-        parts = [p for p in args.weights.split(",") if p.strip()]
-        if len(parts) != 3:
+        parts = args.weights.split(",")
+        if len(parts) != 3 or not all(p.strip() for p in parts):
             raise ValueError("weights must be three comma-separated numbers")
         weights = tuple(float(p) for p in parts)
     mode = PlacementMode(args.mode) if args.mode is not None else (
@@ -297,19 +297,47 @@ def _emit(args, emission: Emission) -> None:
             print(f"wrote {path}", file=sys.stderr)
 
 
-def _add_common(sub: argparse.ArgumentParser, default_format: str = "table") -> None:
-    sub.add_argument("--scenario", default="paper",
-                     help="scenario JSON path, or 'paper' for the built-in scenario")
-    sub.add_argument("--out", default=None, help="directory for CSV and JSON artifacts")
-    sub.add_argument("--format", choices=("table", "csv", "json"), default=default_format)
+_COMMON = [
+    ("--scenario", dict(default="paper",
+                        help="scenario JSON path, or 'paper' for the built-in scenario")),
+    ("--out", dict(help="directory for CSV and JSON artifacts")),
+]
+_MODE = [
+    ("--mode", dict(choices=[m.value for m in PlacementMode],
+                    help="placement mode (default: paper for the built-in scenario, "
+                         "omission otherwise)")),
+    ("--weights", dict(help="custom mode weights as 'staying,value,combo'")),
+]
 
-
-def _add_mode(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=[m.value for m in PlacementMode], default=None,
-                     help="placement mode (default: paper for the built-in scenario, "
-                          "omission otherwise)")
-    sub.add_argument("--weights", default=None,
-                     help="custom mode weights as 'staying,value,combo'")
+# name -> (handler, help, default --format, takes _MODE, own options as (flag, kwargs))
+COMMANDS = {
+    "allocate": (cmd_allocate, "optimize the per-device cached subsets", "table", True, []),
+    "delay": (cmd_delay, "expected-delay report for one scheme", "table", True, [
+        ("--scheme", dict(choices=SCHEME_NAMES, default="edge")),
+        ("--case", dict(choices=[c.value for c in DelayCase])),
+        ("--monte-carlo", dict(action="store_true", help="add a seeded sampling estimate")),
+        ("--samples", dict(type=int, default=1_000_000)),
+        ("--seed", dict(type=int, default=0)),
+        ("--partitions", dict(type=int, default=1))]),
+    "compare": (cmd_compare, "all schemes plus the improvement matrix", "table", True, []),
+    "share": (cmd_share, "patients served per device and in total", "table", False, [
+        ("--count-hosts", dict(action="store_true",
+                               help="also count owners of devices too small to share"))]),
+    "sweep": (cmd_sweep, "patients served across a capacity grid", "csv", False, [
+        ("--min-gb", dict(type=float, help="grid start (default: the host requirement)")),
+        ("--max-gb", dict(type=float,
+                          help="grid end (default: 600, or the start when that is larger)")),
+        ("--step-gb", dict(type=float, default=1.0))]),
+    "dvs-size": (cmd_dvs_size, "frame versus event camera recording volume", "table", False, [
+        ("--timeline", dict(help="CSV of duration_seconds,level rows (default: scenario timeline)")),
+        ("--frame-kbps", dict(type=float, default=CIF_FRAME_BITRATE_BPS / 1e3)),
+        ("--fast-kbps", dict(type=float, default=EVENT_FAST_BITRATE_BPS / 1e3)),
+        ("--slow-kbps", dict(type=float, default=EVENT_SLOW_BITRATE_BPS / 1e3))]),
+    "calibrate": (cmd_calibrate, "recover link rates from reported delays", "table", True, [
+        ("--observation", dict(action="append", metavar="SCHEME:CASE:MINUTES",
+                               help="reported delay, e.g. edge:best:9.872 (repeatable)"))]),
+    "report": (cmd_report, "full rollup: allocation, delays, sharing", "table", True, []),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,66 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="emrcache",
         description="Edge caching simulator and optimizer for tiered medical record sets")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("allocate", help="optimize the per-device cached subsets")
-    _add_common(p)
-    _add_mode(p)
-    p.set_defaults(handler=cmd_allocate)
-
-    p = commands.add_parser("delay", help="expected-delay report for one scheme")
-    _add_common(p)
-    _add_mode(p)
-    p.add_argument("--scheme", choices=SCHEME_NAMES, default="edge")
-    p.add_argument("--case", choices=[c.value for c in DelayCase], default=None)
-    p.add_argument("--monte-carlo", action="store_true",
-                   help="add a seeded sampling estimate")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--partitions", type=int, default=1)
-    p.set_defaults(handler=cmd_delay)
-
-    p = commands.add_parser("compare", help="all schemes plus the improvement matrix")
-    _add_common(p)
-    _add_mode(p)
-    p.set_defaults(handler=cmd_compare)
-
-    p = commands.add_parser("share", help="patients served per device and in total")
-    _add_common(p)
-    p.add_argument("--count-hosts", action="store_true",
-                   help="also count owners of devices too small to share")
-    p.set_defaults(handler=cmd_share)
-
-    p = commands.add_parser("sweep", help="patients served across a capacity grid")
-    _add_common(p, default_format="csv")
-    p.add_argument("--min-gb", type=float, default=None,
-                   help="grid start (default: the host requirement)")
-    p.add_argument("--max-gb", type=float, default=None,
-                   help="grid end (default: 600, or the start when that is larger)")
-    p.add_argument("--step-gb", type=float, default=1.0)
-    p.set_defaults(handler=cmd_sweep)
-
-    p = commands.add_parser("dvs-size", help="frame versus event camera recording volume")
-    _add_common(p)
-    p.add_argument("--timeline", default=None,
-                   help="CSV of duration_seconds,level rows (default: scenario timeline)")
-    p.add_argument("--frame-kbps", type=float, default=CIF_FRAME_BITRATE_BPS / 1e3)
-    p.add_argument("--fast-kbps", type=float, default=EVENT_FAST_BITRATE_BPS / 1e3)
-    p.add_argument("--slow-kbps", type=float, default=EVENT_SLOW_BITRATE_BPS / 1e3)
-    p.set_defaults(handler=cmd_dvs_size)
-
-    p = commands.add_parser("calibrate", help="recover link rates from reported delays")
-    _add_common(p)
-    _add_mode(p)
-    p.add_argument("--observation", action="append", default=None,
-                   metavar="SCHEME:CASE:MINUTES",
-                   help="reported delay, e.g. edge:best:9.872 (repeatable)")
-    p.set_defaults(handler=cmd_calibrate)
-
-    p = commands.add_parser("report", help="full rollup: allocation, delays, sharing")
-    _add_common(p)
-    _add_mode(p)
-    p.set_defaults(handler=cmd_report)
-
+    for name, (handler, help_text, default_format, takes_mode, own) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        formats = [("--format", dict(choices=("table", "csv", "json"), default=default_format))]
+        for flag, kwargs in _COMMON + formats + (_MODE if takes_mode else []) + own:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(handler=handler)
     return parser
 
 

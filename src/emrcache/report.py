@@ -27,7 +27,6 @@ from .delay import (
 from .placement import REFERENCE_ALLOCATION, AllocationPlan, PlacementMode, plan_scenario
 from .scenario import EdgeScenario, matches_reference_layout
 from .records import subset_label, value_class
-from .sharing import patients_served, scenario_capacity
 
 
 def compare_schemes(scenario: EdgeScenario, plan: AllocationPlan) -> dict:
@@ -36,18 +35,6 @@ def compare_schemes(scenario: EdgeScenario, plan: AllocationPlan) -> dict:
     reports = (expected_delay(plan, scenario.locations, scenario.rates),
                scenario.femtocache_report, scenario.baseline_report)
     return {report.scheme: report for report in reports}
-
-
-def sharing_summary(scenario: EdgeScenario) -> dict:
-    """Patients served per device and in total, as a JSON dict."""
-    return {
-        "per_device": [{"device": d.id, "capacity_gb": d.capacity_gb,
-                        "patients": patients_served(d.capacity_gb, scenario.policy)}
-                       for d in scenario.devices],
-        "total": scenario_capacity(scenario.devices, scenario.policy),
-        "total_with_hosts": scenario_capacity(scenario.devices, scenario.policy,
-                                              count_hosts=True),
-    }
 
 
 def plan_divergences(scenario: EdgeScenario, mode: PlacementMode, plan: AllocationPlan):

@@ -40,7 +40,7 @@ from .records import (
     subset_label,
     value_class,
 )
-from .sharing import SWEEP_END_GB, SharingPolicy, patients_served
+from .sharing import SWEEP_END_GB, SharingPolicy, patients_served, sharing_summary
 
 DWELL_SUM_EPS = 1e-9
 
@@ -87,8 +87,6 @@ class EdgeScenario:
 
     @cached_property
     def sharing(self) -> dict:
-        from .report import sharing_summary  # report imports this module
-
         return sharing_summary(self)
 
 

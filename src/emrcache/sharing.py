@@ -81,5 +81,19 @@ def capacity_sweep(min_gb: float, max_gb: float, step_gb: float,
     # Point i is min_gb + i * delta, where delta is the step as it rounds at
     # min_gb; the tests pin these floats to an arange over the same bounds.
     delta = (min_gb + step_gb) - min_gb
+    if delta == 0 or span == 0:  # the step vanishes at this magnitude
+        raise ValueError(f"sweep step {step_gb:g} does not advance a grid at {min_gb:g} GB")
     return [(capacity, patients_served(capacity, policy))
             for capacity in (min_gb + i * delta for i in range(math.ceil(span)))]
+
+
+def sharing_summary(scenario) -> dict:
+    """Patients served per device and in total, as a JSON dict."""
+    return {
+        "per_device": [{"device": d.id, "capacity_gb": d.capacity_gb,
+                        "patients": patients_served(d.capacity_gb, scenario.policy)}
+                       for d in scenario.devices],
+        "total": scenario_capacity(scenario.devices, scenario.policy),
+        "total_with_hosts": scenario_capacity(scenario.devices, scenario.policy,
+                                              count_hosts=True),
+    }

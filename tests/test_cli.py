@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from emrcache import placement
+from emrcache import cli, placement
 from emrcache.cli import main
 from emrcache.delay import MAX_PARTITIONS
 from emrcache.report import json_text
@@ -222,6 +223,17 @@ def test_sweep_default_end_follows_a_start_above_600(capsys):
     assert "sweep min exceeds max" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--min-gb", "1e16", "--max-gb", "1.000000000000001e16", "--step-gb", "1"],
+    ["--min-gb", "1e300", "--max-gb", "1e300", "--format", "json"],
+], ids=["step-vanishes", "half-step-vanishes"])
+def test_a_sweep_grid_that_does_not_advance_exits_2(capsys, argv):
+    code, out, err = _run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert "does not advance" in err
+
+
 # Valid scenarios in which a reference scheme takes no time: every record is empty,
 # or the one device is too small for the conventional cache to hold anything.
 _ZERO_REFERENCE_DOCUMENTS = {
@@ -291,6 +303,14 @@ def test_fractional_dwell_hours_exit_2_at_load(tmp_path, capsys, argv):
     assert out == ""
     assert "locations[a].dwell_hours: no staying coefficient for dwell time 12.5" in err
     assert "locations[b].dwell_hours: no staying coefficient for dwell time 11.5" in err
+
+
+@pytest.mark.parametrize("weights", ["1,,2,3", ",1,2,3", "1,2,3,", "1,,2", " ,1,2"])
+def test_weights_with_a_blank_field_exit_2(capsys, weights):
+    code, out, err = _run(capsys, "allocate", "--mode", "custom", "--weights", weights)
+    assert code == 2
+    assert out == ""
+    assert err == "error: weights must be three comma-separated numbers\n"
 
 
 @pytest.mark.parametrize("position", range(3))
@@ -524,3 +544,131 @@ def test_numpy_is_loaded_only_by_monte_carlo_and_calibrate(argv, loads_numpy):
     assert fields[:5] == ["0", "False", "False", str(loads_numpy), "-"]
     # numpy itself imports `inspect`; without it no command loads any of the three.
     assert loads_numpy or fields[5] == "-"
+
+
+# The imperative parser that the declarative command table replaced, kept as the
+# oracle that the table builds the same parser.
+def _reference_parser() -> argparse.ArgumentParser:
+    def add_common(sub, default_format="table"):
+        sub.add_argument("--scenario", default="paper",
+                         help="scenario JSON path, or 'paper' for the built-in scenario")
+        sub.add_argument("--out", default=None, help="directory for CSV and JSON artifacts")
+        sub.add_argument("--format", choices=("table", "csv", "json"), default=default_format)
+
+    def add_mode(sub):
+        sub.add_argument("--mode", choices=[m.value for m in placement.PlacementMode],
+                         default=None,
+                         help="placement mode (default: paper for the built-in scenario, "
+                              "omission otherwise)")
+        sub.add_argument("--weights", default=None,
+                         help="custom mode weights as 'staying,value,combo'")
+
+    parser = argparse.ArgumentParser(
+        prog="emrcache",
+        description="Edge caching simulator and optimizer for tiered medical record sets")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    p = commands.add_parser("allocate", help="optimize the per-device cached subsets")
+    add_common(p)
+    add_mode(p)
+    p.set_defaults(handler=cli.cmd_allocate)
+
+    p = commands.add_parser("delay", help="expected-delay report for one scheme")
+    add_common(p)
+    add_mode(p)
+    p.add_argument("--scheme", choices=("edge", "femtocache", "baseline"), default="edge")
+    p.add_argument("--case", choices=["best", "worst"], default=None)
+    p.add_argument("--monte-carlo", action="store_true",
+                   help="add a seeded sampling estimate")
+    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--partitions", type=int, default=1)
+    p.set_defaults(handler=cli.cmd_delay)
+
+    p = commands.add_parser("compare", help="all schemes plus the improvement matrix")
+    add_common(p)
+    add_mode(p)
+    p.set_defaults(handler=cli.cmd_compare)
+
+    p = commands.add_parser("share", help="patients served per device and in total")
+    add_common(p)
+    p.add_argument("--count-hosts", action="store_true",
+                   help="also count owners of devices too small to share")
+    p.set_defaults(handler=cli.cmd_share)
+
+    p = commands.add_parser("sweep", help="patients served across a capacity grid")
+    add_common(p, default_format="csv")
+    p.add_argument("--min-gb", type=float, default=None,
+                   help="grid start (default: the host requirement)")
+    p.add_argument("--max-gb", type=float, default=None,
+                   help="grid end (default: 600, or the start when that is larger)")
+    p.add_argument("--step-gb", type=float, default=1.0)
+    p.set_defaults(handler=cli.cmd_sweep)
+
+    p = commands.add_parser("dvs-size", help="frame versus event camera recording volume")
+    add_common(p)
+    p.add_argument("--timeline", default=None,
+                   help="CSV of duration_seconds,level rows (default: scenario timeline)")
+    p.add_argument("--frame-kbps", type=float, default=512.0)
+    p.add_argument("--fast-kbps", type=float, default=256.0)
+    p.add_argument("--slow-kbps", type=float, default=64.0)
+    p.set_defaults(handler=cli.cmd_dvs_size)
+
+    p = commands.add_parser("calibrate", help="recover link rates from reported delays")
+    add_common(p)
+    add_mode(p)
+    p.add_argument("--observation", action="append", default=None,
+                   metavar="SCHEME:CASE:MINUTES",
+                   help="reported delay, e.g. edge:best:9.872 (repeatable)")
+    p.set_defaults(handler=cli.cmd_calibrate)
+
+    p = commands.add_parser("report", help="full rollup: allocation, delays, sharing")
+    add_common(p)
+    add_mode(p)
+    p.set_defaults(handler=cli.cmd_report)
+
+    return parser
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(action.choices for action in parser._actions if action.dest == "command")
+
+
+def test_the_parser_prints_the_reference_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    built, reference = cli.build_parser(), _reference_parser()
+    assert built.format_help() == reference.format_help()
+    built_subs, reference_subs = _subparsers(built), _subparsers(reference)
+    assert list(built_subs) == list(reference_subs)
+    assert len(built_subs) == 8
+    for name, sub in reference_subs.items():
+        assert built_subs[name].format_help() == sub.format_help(), name
+
+
+_OPTION_ARGVS = [
+    [name] for name in ("allocate", "delay", "compare", "share", "sweep", "dvs-size",
+                        "calibrate", "report")
+] + [
+    ["allocate", "--scenario", "s.json", "--out", "o", "--format", "json", "--mode", "custom",
+     "--weights", "1,2,3"],
+    ["delay", "--format", "csv", "--mode", "min-combo", "--scheme", "femtocache",
+     "--case", "worst", "--monte-carlo", "--samples", "1000", "--seed", "7",
+     "--partitions", "2"],
+    ["compare", "--mode=omission", "--format=table"],
+    ["share", "--count-hosts", "--out", "o"],
+    ["sweep", "--min-gb", "1.5", "--max-gb", "9", "--step-gb", "0.5", "--format", "table"],
+    ["dvs-size", "--timeline", "t.csv", "--frame-kbps", "32", "--fast-kbps", "9",
+     "--slow-kbps", "0.5"],
+    ["calibrate", "--mode", "paper", "--observation", "edge:best:9.872",
+     "--observation", "baseline:worst:247.467"],
+    ["report", "--scenario", "paper", "--weights", "0.5,1,1", "--mode", "custom"],
+]
+
+
+@pytest.mark.parametrize("argv", _OPTION_ARGVS, ids=" ".join)
+def test_every_argv_parses_as_the_reference_parser_does(argv):
+    def parsed(parser):
+        namespace = vars(parser.parse_args(argv))
+        return dict(namespace, handler=namespace["handler"].__name__)
+
+    assert parsed(cli.build_parser()) == parsed(_reference_parser())

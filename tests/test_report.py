@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from emrcache import delay, placement, report, scenario as scenario_module
+from emrcache import sharing as sharing_module
 from emrcache.cli import cmd_share, main
 from emrcache.delay import LinkRates
 from emrcache.placement import PlacementMode
@@ -50,7 +51,7 @@ def test_each_result_is_computed_once_per_scenario(monkeypatch, scenario_path):
     digests = _count_calls(monkeypatch, scenario_module, "scenario_digest")
     conventional = _count_calls(monkeypatch, delay, "femtocache_plan")
     plans = _count_calls(monkeypatch, placement, "plan_scenario")
-    sharing = _count_calls(monkeypatch, report, "sharing_summary")
+    sharing = _count_calls(monkeypatch, sharing_module, "sharing_summary")
     for mode, weights in ((PlacementMode.OMISSION, None), (PlacementMode.MIN_COMBO, None),
                           (PlacementMode.CUSTOM, (0.5, 2.0, 3.0))):
         report_to_dict(build_report(scenario, mode, weights))
@@ -91,7 +92,7 @@ def test_each_subcommand_plans_only_what_it_prints(monkeypatch, capsys, scenario
 @pytest.mark.parametrize("command,computed", [("compare", 0), ("report", 1)])
 def test_compare_computes_no_sharing_and_no_divergences(monkeypatch, capsys, scenario_path,
                                                         command, computed):
-    sharing = _count_calls(monkeypatch, report, "sharing_summary")
+    sharing = _count_calls(monkeypatch, sharing_module, "sharing_summary")
     divergences = _count_calls(monkeypatch, report, "plan_divergences")
     assert main([command, "--scenario", scenario_path, "--format", "json"]) == 0
     capsys.readouterr()

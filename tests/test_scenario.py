@@ -133,6 +133,41 @@ def test_validate_collects_violations_without_raising():
     assert "capacity_gb" in violations[0]
 
 
+def _two_locations(devices=("A", "B"), names=("a", "b")) -> dict:
+    return {"locations": [{"name": name, "dwell_hours": 12} for name in names],
+            "devices": [{"id": d, "capacity_gb": 100, "location": name}
+                        for d, name in zip(devices, names)]}
+
+
+def _device_at_nowhere():
+    scenario = reference_scenario()
+    device = replace(scenario.devices[0], location=LocationProfile("nowhere", 10))
+    return replace(scenario, devices=(device,) + scenario.devices[1:])
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: {"locations": [], "devices": []}, "locations: at least one location is required"),
+    (lambda: _two_locations(names=("a", "a")), "locations: names must be unique"),
+    (lambda: {"locations": [{"name": "x", "dwell_hours": 25.0}],
+              "devices": [{"id": "A", "capacity_gb": 100, "location": "x"}]},
+     "locations[x].dwell_hours: 25.0 outside [1, 24]"),
+    (lambda: _two_locations(devices=("A", "A")), "devices: ids must be unique"),
+    (_device_at_nowhere, "devices[EA].location: 'nowhere' is not a scenario location"),
+    (lambda: dict(_two_locations(), demand={"a": ["text"], "b": ["text"], "x": ["text"]}),
+     "demand[x]: references an unknown location"),
+], ids=["no-locations", "duplicate-names", "dwell-above-24", "duplicate-ids",
+        "device-at-unknown-location", "demand-at-unknown-location"])
+def test_each_cross_section_rule_names_its_field(build, message):
+    built = build()
+    if isinstance(built, dict):  # a document: loading runs validate
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(built)
+        violations = err.value.violations
+    else:  # a scenario built in code, past the loader's own location check
+        violations = validate(built)
+    assert message in violations
+
+
 def test_demand_must_cover_every_location():
     data = _layout([12, 12])
     data["demand"] = {"loc0": ["text"]}

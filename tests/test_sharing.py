@@ -100,6 +100,16 @@ def test_sweep_grid_above_the_limit_is_rejected_before_it_is_built():
     assert peak < 100_000
 
 
+@pytest.mark.parametrize("min_gb,max_gb,step_gb", [
+    (1e16, 1.000000000000001e16, 1.0),  # the step rounds away at 1e16: identical points
+    (1e300, 1e300, 1.0),  # half a step rounds away past max_gb: no point
+    (1e16, 1e16, 2.0),
+], ids=["step-vanishes", "half-step-vanishes", "half-step-ties-to-max"])
+def test_sweep_grid_that_does_not_advance_is_rejected(min_gb, max_gb, step_gb):
+    with pytest.raises(ValueError, match="does not advance"):
+        capacity_sweep(min_gb, max_gb, step_gb, SharingPolicy())
+
+
 def _assert_matches_arange(min_gb, max_gb, step_gb, policy):
     series = capacity_sweep(min_gb, max_gb, step_gb, policy)
     capacities = [capacity for capacity, _ in series]
