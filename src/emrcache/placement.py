@@ -114,9 +114,14 @@ def coefficients(table: str, raw) -> dict:
     out = {}
     for key, value in raw.items():
         try:
+            if read_key is int and type(key) not in (int, str):  # int() reads 3.5 and True
+                raise ValueError
             read = read_key(key)
         except (KeyError, ValueError):
             raise ValueError(f"tables.{table}[{key}]: {key!r} is not {words}") from None
+        if read in out:
+            earlier = next(k for k in raw if read_key(k) == read)
+            raise ValueError(f"tables.{table}[{key}]: {key!r} repeats {earlier!r}")
         if not (type(value) in (int, float) and abs(value) <= 2**53 and value == int(value)):
             raise ValueError(
                 f"tables.{table}[{key}]: {value!r} is not a whole number within 2**53")

@@ -2,8 +2,10 @@
 
 Everything here is derived from a scenario plus a placement mode, and every
 report carries the scenario digest so its numbers can be recomputed. The
-rows (for tables and CSV) and the dicts (for JSON) of each result are built
-here once, as are the JSON and CSV texts; the CLI only composes them.
+rows (for tables and CSV) and the dicts (for JSON) of the allocation, scheme
+delays, improvements and sharing are built here once, as are all table, JSON and
+CSV texts. The CLI builds its other rows itself: the `delay` cases and terms,
+Monte Carlo estimates, the sweep series and the camera volumes.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import emrcache
 from emrcache import cli, placement
 from emrcache.cli import main
 from emrcache.delay import MAX_PARTITIONS
@@ -383,6 +384,38 @@ def test_calibrate_rejects_a_rate_fitted_to_rounding_noise(capsys, best, worst, 
         assert payload["reproduced"]["edge_dvs"]["worst_minutes"] == pytest.approx(9.8720001)
 
 
+# Malformed input that the CLI reads past its parser: an observation, a scenario file's
+# top level and rows, and a timeline CSV row (its header and blank rows are skipped).
+@pytest.mark.parametrize("argv,files,message", [
+    (["calibrate", "--observation", "edge:best"], {},
+     "observation must be scheme:case:minutes, got 'edge:best'"),
+    (["calibrate", "--observation", "sat:best:1", "--observation", "baseline:worst:1"], {},
+     "unknown observation scheme 'sat'"),
+    (["share", "--scenario", "s.json"], {"s.json": "[]"},
+     "scenario document must be a JSON object"),
+    (["allocate", "--scenario", "s.json"],
+     {"s.json": '{"locations": [{"name": "a", "dwell_hours": 24}], '
+                '"devices": [{"id": "x", "capacity_gb": 1, "location": "b"}]}'},
+     "devices[x].location: unknown location 'b'"),
+    (["allocate", "--scenario", "s.json"],
+     {"s.json": '{"locations": [{"name": "a"}], '
+                '"devices": [{"id": "x", "capacity_gb": 1, "location": "a"}]}'},
+     "locations[a].dwell_hours: required"),
+    (["dvs-size", "--timeline", "t.csv"], {"t.csv": "duration_seconds,level\n\n10\n"},
+     "timeline row needs duration and level: ['10']"),
+    (["dvs-size", "--timeline", "t.csv"], {"t.csv": "duration_seconds,level\n10,walk\n"},
+     "unknown motion level: 'walk'"),
+], ids=["observation-fields", "observation-scheme", "document-list", "device-location",
+        "dwell-missing", "timeline-row", "timeline-level"])
+def test_malformed_input_exits_2_with_only_its_message(tmp_path, monkeypatch, capsys, argv,
+                                                      files, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_a_negative_seed_exits_2_naming_the_option(capsys):
     code, out, err = _run(capsys, "delay", "--monte-carlo", "--samples", "1000", "--seed", "-1")
     assert (code, out, err) == (2, "", "error: seed must be >= 0\n")
@@ -493,8 +526,9 @@ def test_json_text_refuses_non_finite_numbers():
 
 
 def _src_env() -> dict:
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    return dict(os.environ, PYTHONPATH=src)
+    """An environment in which a child interpreter imports the `emrcache` this one did:
+    `src/` in a checkout, or an installed copy."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emrcache.__file__)))
 
 
 def test_importing_the_package_loads_no_submodule():

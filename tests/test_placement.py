@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,21 @@ def test_penalty_tables_validation():
     tables = PenaltyTables.default()
     with pytest.raises(ValueError):
         tables.staying_for(2.5)
+
+
+_HOURS = {h: 25 - h for h in range(1, 25)}
+
+
+@pytest.mark.parametrize("staying,message", [
+    ({**{h: c for h, c in _HOURS.items() if h != 3}, 3.5: 7},
+     "tables.staying[3.5]: 3.5 is not a whole hour"),
+    ({**{h: c for h, c in _HOURS.items() if h != 1}, True: 24},
+     "tables.staying[True]: True is not a whole hour"),
+    ({**_HOURS, "3": 22}, "tables.staying[3]: '3' repeats 3"),
+], ids=["fraction", "bool", "int-and-str"])
+def test_penalty_tables_read_each_hour_key_as_one_whole_hour(staying, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        PenaltyTables(staying, {TEXT: 2, IMAGE: 1, VIDEO: 3})
 
 
 def _brute_force_with_pins(device, records, video_mode, tables, mode, weights):

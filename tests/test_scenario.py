@@ -253,6 +253,20 @@ def test_penalty_coefficients_are_whole_numbers_within_2_53(tmp_path, coefficien
         load_scenario(path)
 
 
+@pytest.mark.parametrize("tables,message", [
+    ({"combo": {"text+image": 1, "image+text": 99}},
+     "tables.combo[image+text]: 'image+text' repeats 'text+image'"),
+    ({"combo": {"text": 1, "Text ": 99}}, "tables.combo[Text ]: 'Text ' repeats 'text'"),
+    ({"staying": {**{str(h): 25 - h for h in range(1, 25)}, "03": 7}},
+     "tables.staying[03]: '03' repeats '3'"),
+], ids=["combo-order", "combo-spelling", "staying-leading-zero"])
+def test_tables_keys_that_read_as_one_are_rejected(tmp_path, tables, message):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({"tables": tables}))
+    with pytest.raises(ScenarioError, match="^" + re.escape(message) + "$"):
+        load_scenario(path)
+
+
 _SECTION_KEYS = {
     "records": ("text_gb", "image_gb", "video_conventional_gb", "video_dvs_gb"),
     "rates": ("edge_rate", "macro_rate"),
@@ -566,6 +580,7 @@ def _run_cli(argv) -> tuple:
 
 @settings(max_examples=40, deadline=None)
 @given(_valid_documents())
+@example({})
 @example({"records": {"text_gb": 0, "image_gb": 0, "video_conventional_gb": 0,
                       "video_dvs_gb": 0}})
 @example({"locations": [{"name": "a", "dwell_hours": 24}],
