@@ -247,13 +247,13 @@ def cmd_report(args, scenario) -> Emission:
          schemes_to_rows(sorted(run.schemes.items()))),
         ("improvements", "improvements.csv", IMPROVEMENT_HEADERS,
          improvements_to_rows(run.improvements)),
-        ("shared capacity", "sharing.csv", SHARING_HEADERS, sharing_to_rows(run.sharing)),
+        ("shared capacity", "sharing.csv", SHARING_HEADERS, sharing_to_rows(scenario.sharing)),
     ]
     payload = report_to_dict(run)
     if args.out:
         payload["emitted"] = [f"{args.out}/{name}"
                               for name in ["report.json"] + [s[1] for s in sections]]
-    notes = [f"digest: {scenario.digest}", f"total patients: {run.sharing['total']}"]
+    notes = [f"digest: {scenario.digest}", f"total patients: {scenario.sharing['total']}"]
     return Emission("report", payload, sections,
                     notes=notes + divergences_to_notes(payload["divergences"]))
 

@@ -103,14 +103,19 @@ _CLASS_KEYS = {**{c.value: c for c in CLASS_ORDER}, **{c: c for c in CLASS_ORDER
 _FAMILIES = {"staying": ("a whole hour", int, "hour", range(1, 25)),
              "value": ("a file class name", _CLASS_KEYS.__getitem__, "file class", CLASS_ORDER),
              "combo": ("a subset label", parse_subset, None, ())}
+# The built-in families, which a family left out of `PenaltyTables` takes as they are.
+_DEFAULT_FAMILIES = {"staying": MappingProxyType({h: 25 - h for h in range(1, 25)}),
+                     "value": MappingProxyType(dict(DEFAULT_VALUE_PENALTIES)), "combo": None}
 
 
-def coefficients(table: str, raw) -> dict:
+def coefficients(table: str, raw) -> MappingProxyType:
     """`raw`, one `PenaltyTables` family keyed as in a scenario file or as the tables hold
-    it, as a plain dict of read keys and coefficients. A coefficient is an int or an
+    it, as a read-only mapping of read keys and coefficients. A coefficient is an int or an
     integral float within 2**53, so it is exact as a float and no custom-mode score
     overflows; bools and strings are rejected."""
     words, read_key, noun, needed = _FAMILIES[table]
+    if not isinstance(raw, (dict, MappingProxyType)):  # a JSON object, or other tables' family
+        raise ValueError(f"tables.{table}: must be a JSON object")
     out = {}
     for key, value in raw.items():
         try:
@@ -129,7 +134,7 @@ def coefficients(table: str, raw) -> dict:
     for need in needed:
         if need not in out:
             raise ValueError(f"tables.{table} must cover {noun} {need}")
-    return out
+    return MappingProxyType(out)
 
 
 @value_class
@@ -138,33 +143,24 @@ class PenaltyTables:
 
     `staying` maps whole hours, `value` file classes and `combo` subsets to
     coefficients, keyed by int, FileClass and frozenset or as in a scenario file.
-    `combo` pins only the subsets it lists; when it is None the size-rank rule
-    supplies every combination coefficient for any record sizes. The mappings
+    A family left out or None is the built-in one: `25 - hours`, the default value
+    coefficients, and no pins, so the size-rank rule supplies every combination
+    coefficient for any record sizes. A family given is read once. The mappings
     are read-only, so the tables can key the cached score rows.
     """
 
-    staying: dict
-    value: dict
+    staying: dict | None = None
+    value: dict | None = None
     combo: dict | None = None
 
     def __post_init__(self):
-        self._hold(coefficients("staying", self.staying), coefficients("value", self.value),
-                   None if self.combo is None else coefficients("combo", self.combo))
-
-    @classmethod
-    def checked(cls, staying, value, combo=None) -> "PenaltyTables":
-        """Tables from families that `coefficients` has read, or that other tables hold;
-        nothing is read again."""
-        tables = object.__new__(cls)
-        tables._hold(staying, value, combo)
-        return tables
-
-    def _hold(self, staying, value, combo):
-        proxy = lambda m: m if m is None or type(m) is MappingProxyType else MappingProxyType(m)
-        self.__dict__.update(staying=proxy(staying), value=proxy(value), combo=proxy(combo))
+        state = self.__dict__
+        for family, default in _DEFAULT_FAMILIES.items():
+            given = state[family]
+            state[family] = default if given is None else coefficients(family, given)
         # Hashed once: the tables key the score-row cache on every plan.
-        self.__dict__["_hash"] = hash((frozenset(staying.items()), frozenset(value.items()),
-                                       None if combo is None else frozenset(combo.items())))
+        state["_hash"] = hash(tuple(None if state[f] is None else frozenset(state[f].items())
+                                    for f in _DEFAULT_FAMILIES))
 
     def __hash__(self):
         return self._hash
@@ -172,13 +168,13 @@ class PenaltyTables:
     @classmethod
     @lru_cache(maxsize=1)  # read-only, so every caller can share one
     def default(cls) -> "PenaltyTables":
-        return cls({h: 25 - h for h in range(1, 25)}, dict(DEFAULT_VALUE_PENALTIES))
+        return cls()
 
     def staying_for(self, dwell_hours) -> int:
-        h = float(dwell_hours)
-        if h != int(h) or int(h) not in self.staying:
-            raise ValueError(f"no staying coefficient for dwell time {dwell_hours!r}")
-        return self.staying[int(h)]
+        try:
+            return self.staying[dwell_hours]  # 3.0 finds hour 3; a string or NaN finds none
+        except (KeyError, TypeError):
+            raise ValueError(f"no staying coefficient for dwell time {dwell_hours!r}") from None
 
     def combo_for(self, subset, records: RecordSet, mode: VideoMode) -> int:
         if self.combo is not None and frozenset(subset) in self.combo:

@@ -78,10 +78,6 @@ class RunReport:
                              "pct": pct if math.isfinite(pct) else None})
         return rows
 
-    @property
-    def sharing(self) -> dict:
-        return self.scenario.sharing
-
     @cached_property
     def divergences(self):
         return plan_divergences(self.scenario, self.mode, self.plan)
@@ -174,7 +170,7 @@ def report_to_dict(report: RunReport) -> dict:
         "plan": plan_to_dict(report.plan),
         "schemes": schemes_to_dict(report.schemes),
         "improvements": report.improvements,
-        "sharing": sharing_to_dict(report.sharing),
+        "sharing": sharing_to_dict(report.scenario.sharing),
         "divergences": report.divergences or [],
     }
 

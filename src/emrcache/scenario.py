@@ -26,7 +26,6 @@ from .placement import (
     EdgeDevice,
     LocationProfile,
     PenaltyTables,
-    coefficients,
     is_reference_device,
     subset_table,
 )
@@ -268,13 +267,7 @@ def _devices(key: str, rules: dict, data, loaded) -> tuple:
 
 
 def _tables(key: str, rules: dict, data, loaded) -> PenaltyTables:
-    """Each family given is read once; one left out or null is the reference's, as it is."""
-    _check_keys(key, data, rules)
-    given = {family: _check_keys(f"{key}.{family}", data[family]) for family in rules
-             if data.get(family) is not None}
-    ref = reference_scenario().tables
-    return PenaltyTables.checked(*(coefficients(family, given[family]) if family in given
-                                   else getattr(ref, family) for family in rules))
+    return PenaltyTables(**_check_keys(key, data, rules))
 
 
 def _demand(key: str, rule: Rule, data, loaded) -> DemandProfile:

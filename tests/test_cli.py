@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -540,22 +541,23 @@ def test_importing_the_package_loads_no_submodule():
     assert result.stdout.split() == ["[]", "0.1.0"]
 
 
-# Runs one CLI command in a fresh interpreter and prints whether numpy was
-# loaded after `import emrcache`, after `import emrcache.cli`, and at exit; then
-# which of the costly stdlib modules `import emrcache.cli` loaded, and which were
-# loaded by exit, each as a comma-joined list or "-" for none.
+# Runs one CLI command in a fresh interpreter and prints which of the costly stdlib
+# modules were loaded before `import emrcache`; whether numpy was loaded after
+# `import emrcache`, after `import emrcache.cli`, and at exit; then which of the costly
+# modules `import emrcache.cli` loaded, and which were loaded by exit. Each list is
+# comma-joined, or "-" for none.
 _NUMPY_PROBE = """
 import contextlib, io, sys
+costly = {"dataclasses", "inspect", "typing"}
+at_start = sorted(costly & set(sys.modules))
 import emrcache
 after_package = "numpy" in sys.modules
-before_cli = set(sys.modules)
 import emrcache.cli
 after_cli = "numpy" in sys.modules
-costly = {"dataclasses", "inspect", "typing"} - before_cli
 loaded_by_cli = sorted(costly & set(sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):
     code = emrcache.cli.main(sys.argv[1:])
-print(code, after_package, after_cli, "numpy" in sys.modules,
+print(",".join(at_start) or "-", code, after_package, after_cli, "numpy" in sys.modules,
       ",".join(loaded_by_cli) or "-", ",".join(sorted(costly & set(sys.modules))) or "-")
 """
 
@@ -571,13 +573,18 @@ print(code, after_package, after_cli, "numpy" in sys.modules,
     (["calibrate"], True),
 ])
 def test_numpy_is_loaded_only_by_monte_carlo_and_calibrate(argv, loads_numpy):
-    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=_src_env(),
+    # A site file may import any module at start-up and so hide what the CLI loads. -S
+    # skips site, so numpy's directory goes on the path beside the package's.
+    numpy_dir = os.path.dirname(os.path.dirname(importlib.util.find_spec("numpy").origin))
+    env = _src_env()
+    env["PYTHONPATH"] += os.pathsep + numpy_dir
+    result = subprocess.run([sys.executable, "-S", "-c", _NUMPY_PROBE, *argv], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     fields = result.stdout.split()
-    assert fields[:5] == ["0", "False", "False", str(loads_numpy), "-"]
+    assert fields[:6] == ["-", "0", "False", "False", str(loads_numpy), "-"]
     # numpy itself imports `inspect`; without it no command loads any of the three.
-    assert loads_numpy or fields[5] == "-"
+    assert loads_numpy or fields[6] == "-"
 
 
 # The imperative parser that the declarative command table replaced, kept as the

@@ -34,8 +34,9 @@ def test_staying_penalty_full_table():
     assert staying_penalty(1) == 24
     assert staying_penalty(24) == 1
     assert staying_penalty(10) == 15
-    for bad in (0, 25, 10.5, -3):
-        with pytest.raises(ValueError):
+    assert staying_penalty(3.0) == 22 and staying_penalty(True) == 24
+    for bad in (0, 25, 10.5, -3, math.inf, math.nan, None, "3"):
+        with pytest.raises(ValueError, match="^no staying coefficient for dwell time "):
             staying_penalty(bad)
 
 
@@ -213,6 +214,10 @@ def test_penalty_tables_validation():
         PenaltyTables({1: 24}, {TEXT: 2, IMAGE: 1, VIDEO: 3})
     with pytest.raises(ValueError):
         PenaltyTables({h: 25 - h for h in range(1, 25)}, {TEXT: 2})
+    with pytest.raises(ValueError, match=r"^tables\.staying: must be a JSON object$"):
+        PenaltyTables([1, 2])
+    with pytest.raises(ValueError, match=r"^tables\.value: must be a JSON object$"):
+        PenaltyTables(None, 5)
     tables = PenaltyTables.default()
     with pytest.raises(ValueError):
         tables.staying_for(2.5)
@@ -289,6 +294,12 @@ def test_penalty_tables_hash_as_they_compare_and_cannot_be_mutated():
     assert pinned == same and hash(pinned) == hash(same)
     default = PenaltyTables(staying, {TEXT: 2, IMAGE: 1, VIDEO: 3})
     assert default == PenaltyTables.default() and hash(default) == hash(PenaltyTables.default())
+    # A family left out or None is the built-in one, as it is: it is not read again.
+    assert PenaltyTables() == PenaltyTables.default()
+    assert (PenaltyTables(None, {"text": 2, "image": 1, "video": 3}).staying
+            is PenaltyTables.default().staying)
+    combo_only = scenario_from_dict({"tables": {"combo": {"text": 1}}})
+    assert combo_only.tables.staying is PenaltyTables.default().staying
     # The hash covers all three fields: tables one entry apart hash apart.
     variants = _table_variants(default, 5)
     assert len({hash(t) for t in variants}) == len(variants)
