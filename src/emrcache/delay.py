@@ -116,14 +116,27 @@ def baseline_loads(demand: DemandProfile, records: RecordSet, locations) -> tupl
     return tuple((loc, 0.0, sizes[demand.for_location(loc.name)][0], full) for loc in locations)
 
 
+def _case_minutes(loads, rates: LinkRates, case: DelayCase) -> list:
+    """Each row's unweighted minutes in `case`: its edge GB over the edge link plus
+    that case's macro GB over the macro link, as `transfer_minutes` times them.
+    Every size of every row is checked, whatever its dwell or case."""
+    macro = 2 if case is DelayCase.BEST else 3
+    edge_rate, macro_rate = rates.edge_rate, rates.macro_rate
+    minutes = []
+    for row in loads:
+        if row[1] < 0 or row[2] < 0 or row[3] < 0:
+            raise ValueError("transfer size must be >= 0")
+        minutes.append(row[1] / edge_rate / 60.0 + row[macro] / macro_rate / 60.0)
+    return minutes
+
+
 def delay_report(scheme: str, loads, rates: LinkRates) -> DelayReport:
     """Dwell-weighted delay report of a load table."""
     terms = []
     best = worst = 0.0
-    for loc, edge_gb, best_gb, worst_gb in loads:
-        t_edge = transfer_minutes(edge_gb, rates.edge_rate)
-        t_best = t_edge + transfer_minutes(best_gb, rates.macro_rate)
-        t_worst = t_edge + transfer_minutes(worst_gb, rates.macro_rate)
+    for row, t_best, t_worst in zip(loads, _case_minutes(loads, rates, DelayCase.BEST),
+                                    _case_minutes(loads, rates, DelayCase.WORST)):
+        loc = row[0]
         p = loc.probability
         terms.append(LocationTerm(loc.name, p, t_best, t_worst))
         best += p * t_best
@@ -250,36 +263,44 @@ def monte_carlo_delay(plan: AllocationPlan, config: MonteCarloConfig, locations,
                       rates: LinkRates, case: DelayCase) -> MonteCarloResult:
     """Seeded sampling estimate of the expected delay for one case.
 
-    Each draw picks a location term of the closed-form report with that
-    term's dwell probability. The estimator needs only how many draws land
-    on each term, and those counts are Multinomial(samples, probabilities),
-    so they are drawn directly: time and memory are O(locations) whatever
-    the sample count. The sample budget is split into `partitions` near-equal
-    multinomial draws, taken in order from one generator seeded with
-    `config.seed`, so a fixed (seed, samples, partitions) triple repeats
-    exactly.
+    Each draw picks a location with its dwell probability and costs its
+    term of the closed-form report in `case`, computed from the plan's load
+    table by `_case_minutes`. The estimator needs only how many draws land
+    on each location, and those counts are Multinomial(samples,
+    probabilities), so they are drawn directly: time and memory are
+    O(locations) whatever the sample and partition counts. The budget is
+    split into `partitions` near-equal multinomial draws, taken in order
+    from one generator seeded with `config.seed` and added up in place, so
+    a fixed (seed, samples, partitions) triple repeats exactly. numpy only
+    seeds and draws; the mean and variance are `math.fsum`s over the counts.
     """
     import numpy as np
 
+    loads = plan_loads(plan, locations)
     # `multinomial` hands the last category whatever probability rounding
     # leaves over, so zero-probability locations stay out of the draw.
-    drawn = [(t.probability, t.best_minutes if case is DelayCase.BEST else t.worst_minutes)
-             for t in expected_delay(plan, locations, rates).terms if t.probability > 0]
-    weights, terms = np.array(drawn, dtype=float).T
-    pvals = weights / weights.sum()
+    drawn = [(row[0].probability, t) for row, t in zip(loads, _case_minutes(loads, rates, case))]
+    weights = [p for p, _ in drawn if p > 0]
+    terms = [t for p, t in drawn if p > 0]
+    total = math.fsum(weights)
+    pvals = [w / total for w in weights]
     n, parts = config.samples, config.partitions
     base, extra = divmod(n, parts)
     rng = np.random.default_rng(config.seed)
-    counts = sum(rng.multinomial(base + (i < extra), pvals) for i in range(parts))
+    counts = rng.multinomial(base + (extra > 0), pvals)
+    for i in range(1, parts):
+        counts += rng.multinomial(base + (i < extra), pvals)
+    counts = counts.tolist()
     # Shifting by one term keeps equal terms exact, so their variance is 0. Each
     # sum is scaled by a power of two, so it stays finite at any term size.
-    spread = float(terms.max() - terms.min())
-    shift = float(terms[0])
+    spread = max(terms) - min(terms)
+    shift = terms[0]
     scale = _scale(spread, n, 1)
-    mean = shift + float(counts @ ((terms - shift) * scale)) / n / scale
+    mean = shift + math.fsum(c * ((t - shift) * scale) for c, t in zip(counts, terms)) / n / scale
     std_error = 0.0
     if n > 1:
         scale = _scale(spread, n, 2)
-        scaled_variance = float(counts @ ((terms - mean) * scale) ** 2) / (n - 1)
+        scaled_variance = math.fsum(c * ((t - mean) * scale) ** 2
+                                    for c, t in zip(counts, terms)) / (n - 1)
         std_error = math.sqrt(scaled_variance / n) / scale
     return MonteCarloResult(mean, std_error, n, config.seed, parts)

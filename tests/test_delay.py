@@ -318,7 +318,7 @@ def test_monte_carlo_deterministic_and_partitioned():
 
     assert run(1).minutes == run(1).minutes
     assert run(4).minutes == run(4).minutes
-    assert run(1).minutes != run(4).minutes  # different substream split
+    assert run(1).minutes != run(4).minutes  # four draws from one generator, not one
     closed = expected_delay(plan, scenario.locations, scenario.rates)
     for partitions in (1, 4):
         result = run(partitions)

@@ -138,6 +138,43 @@ def test_every_weight_normalisation_gives_a_valid_estimate(problem, seed, sample
     assert math.isfinite(result.std_error) and result.std_error >= 0.0
 
 
+@pytest.mark.parametrize("case", (DelayCase.BEST, DelayCase.WORST))
+@pytest.mark.parametrize("field", ("cached_gb", "residual_gb"))
+@pytest.mark.parametrize("at", (0, 1, 2), ids=("first", "zero dwell", "last"))
+def test_the_estimate_rejects_what_the_report_rejects(at, field, case):
+    # A negative size is rejected wherever it sits: at a location that gets no
+    # draws, or in the column of the case that is not drawn.
+    plan, locations = _setup([1.0] * 3, [2.0] * 3, [1, 0, 3])
+    entries = list(plan.entries)
+    entries[at] = entries[at]._replace(**{field: -1.0})
+    plan = AllocationPlan(plan.mode, plan.video_mode, tuple(entries))
+    with pytest.raises(ValueError) as report_error:
+        expected_delay(plan, locations, RATES)
+    with pytest.raises(ValueError) as estimate_error:
+        monte_carlo_delay(plan, MonteCarloConfig(samples=1000), locations, RATES, case)
+    assert str(estimate_error.value) == str(report_error.value) == "transfer size must be >= 0"
+
+
+rates = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=8), rates, rates, seeds,
+       st.integers(min_value=1, max_value=10**12), partitions, cases)
+def test_one_dwelling_location_gives_its_report_term_exactly(data, count, edge, macro, seed,
+                                                             samples, parts, case):
+    at = data.draw(st.integers(min_value=0, max_value=count - 1))
+    cached = data.draw(st.lists(sizes, min_size=count, max_size=count))
+    residual = data.draw(st.lists(sizes, min_size=count, max_size=count))
+    plan, locations = _setup(cached, residual, [int(i == at) for i in range(count)])
+    link = LinkRates(edge_rate=edge, macro_rate=macro)
+    term = expected_delay(plan, locations, link).terms[at]
+    config = MonteCarloConfig(samples=samples, seed=seed, partitions=parts)
+    result = monte_carlo_delay(plan, config, locations, link, case)
+    assert result.minutes == (term.best_minutes if case is DelayCase.BEST else term.worst_minutes)
+    assert result.std_error == 0.0
+
+
 def test_a_trillion_samples_take_no_sample_sized_memory():
     scenario = reference_scenario()
     plan = plan_scenario(scenario, PlacementMode.REFERENCE)
@@ -167,3 +204,21 @@ def test_limits_are_checked_before_anything_is_spawned():
     assert peak < 100_000
     assert MonteCarloConfig(samples=MAX_SAMPLES, partitions=MAX_PARTITIONS).partitions \
         == MAX_PARTITIONS
+
+
+def test_partitions_take_no_partition_sized_memory():
+    # Each partition's draw is added into one count per location, so the peak
+    # grows with the locations, not with partitions x locations (65 MB here).
+    # A first estimate, untraced, loads numpy.
+    count = 2000
+    plan, locations = _setup([1.0] * count, [2.0 + i for i in range(count)], [1] * count)
+    config = MonteCarloConfig(samples=10**6, seed=2, partitions=MAX_PARTITIONS)
+    monte_carlo_delay(plan, MonteCarloConfig(samples=1), locations, RATES, DelayCase.WORST)
+    tracemalloc.start()
+    try:
+        result = monte_carlo_delay(plan, config, locations, RATES, DelayCase.WORST)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * count
+    assert result.partitions == MAX_PARTITIONS
