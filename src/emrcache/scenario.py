@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -158,10 +159,14 @@ def validate(scenario: EdgeScenario) -> list:
         if name not in known:
             violations.append(f"demand[{name}]: references an unknown location")
     # No delay term exceeds the minutes to move the full conventional set at the slower rate.
+    # A subnormal rate would magnify the rounding of a dwell-weighted size (up to 2**-1075
+    # GB) into whole minutes, so a calibration row would not price out to its report.
     full_gb = subset_table(scenario.records, VideoMode.CONVENTIONAL)[ALL_CLASSES][0]
     for key in scenario.rates._fields:
         rate = float(getattr(scenario.rates, key))
-        if not math.isfinite(transfer_minutes(full_gb, rate)):
+        if rate < sys.float_info.min:
+            violations.append(f"rates.{key}: {rate} GB/s is subnormal, below {sys.float_info.min}")
+        elif not math.isfinite(transfer_minutes(full_gb, rate)):
             violations.append(f"rates.{key}: moving {full_gb} GB at {rate} GB/s overflows")
     # A default run counts guests up to the largest device, or to the default sweep's
     # end plus half its 1 GB step.

@@ -627,7 +627,15 @@ def test_every_subcommand_runs_on_every_valid_scenario(document):
     # last point for this host requirement.
     ({"policy": {"host_requirement_gb": 100.3, "guest_requirement_gb": 2.78133e-306}},
      "policy.guest_requirement_gb"),
-], ids=["edge-rate", "guest-with-a-0-gb-device", "guest-at-the-sweep-end"])
+    # Normal, but moving the reference record set at it overflows.
+    ({"rates": {"edge_rate": 1e-307, "macro_rate": 1}}, "rates.edge_rate"),
+    # Subnormal: no overflow at a 5e-324 GB record set, but its dwell-weighted size
+    # rounds to 0 GB, so the calibration row would not price out to the report.
+    ({"records": {"text_gb": 0, "image_gb": 5e-324, "video_conventional_gb": 0,
+                  "video_dvs_gb": 0},
+      "rates": {"edge_rate": 1, "macro_rate": 5e-324}}, "rates.macro_rate"),
+], ids=["edge-rate", "guest-with-a-0-gb-device", "guest-at-the-sweep-end",
+        "edge-rate-overflows", "subnormal-macro-rate"])
 def test_divisors_too_small_for_a_default_run_exit_2_at_load(tmp_path, document, field):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(document))
