@@ -12,19 +12,14 @@ import sys
 from collections import namedtuple
 
 from .delay import (
-    SCHEME_BASELINE,
-    SCHEME_EDGE,
-    SCHEME_FEMTO,
+    SCHEMES,
     DelayCase,
     MonteCarloConfig,
-    baseline_loads,
     calibrate_rates,
     delay_report,
-    expected_delay,
-    femtocache_plan,
     load_observation,
     monte_carlo_delay,
-    plan_loads,
+    scheme_loads,
 )
 from .dvs import (
     CIF_FRAME_BITRATE_BPS,
@@ -65,8 +60,6 @@ from .report import (
 from .scenario import load_scenario, matches_reference_layout
 from .sharing import SWEEP_END_GB, capacity_sweep
 
-SCHEME_NAMES = ("edge", "femtocache", "baseline")  # the --scheme choices
-
 
 # Everything a subcommand wants shown or written. Each of `sections` is (table title |
 # None, CSV file name | None, headers, rows); `--format csv` prints the first section
@@ -98,16 +91,10 @@ def cmd_allocate(args, scenario) -> Emission:
 
 
 def cmd_delay(args, scenario) -> Emission:
-    # Every scheme builds the run, so --mode and --weights are checked for each. The
-    # edge report is computed here, as run.schemes would plan the femtocache scheme too.
-    plan = _report(args, scenario).plan
-    if args.scheme == "edge":
-        report = expected_delay(plan, scenario.locations, scenario.rates)
-    elif args.scheme == "femtocache":
-        plan = femtocache_plan(scenario)
-        report = expected_delay(plan, scenario.locations, scenario.rates, scheme=SCHEME_FEMTO)
-    else:
-        plan, report = None, scenario.baseline_report
+    # The run checks --mode and --weights for every scheme; its `schemes` would build all 3.
+    label, plan_of = SCHEMES[args.scheme]
+    plan = plan_of(scenario, _report(args, scenario).plan)
+    report = delay_report(label, scheme_loads(scenario, plan), scenario.rates)
     cases = [DelayCase(args.case)] if args.case else [DelayCase.BEST, DelayCase.WORST]
     payload = {"digest": scenario.digest, "report": delay_report_to_dict(report)}
     summary_rows = [[case.value, fmt_minutes(report.minutes(case))] for case in cases]
@@ -122,8 +109,7 @@ def cmd_delay(args, scenario) -> Emission:
     if args.monte_carlo:
         if plan is None:
             raise ValueError("monte carlo estimation needs a plan-based scheme (edge or femtocache)")
-        config = MonteCarloConfig(samples=args.samples, seed=args.seed,
-                                  partitions=args.partitions)
+        config = MonteCarloConfig(args.samples, args.seed, args.partitions)
         payload["monte_carlo"] = {
             case.value: monte_carlo_delay(plan, config, scenario.locations, scenario.rates,
                                           case)._asdict()
@@ -205,22 +191,25 @@ def _parse_observation(spec: str):
     if len(parts) != 3:
         raise ValueError(f"observation must be scheme:case:minutes, got {spec!r}")
     scheme, case, minutes = parts
-    if scheme not in SCHEME_NAMES:
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown observation scheme {scheme!r}")
-    case, minutes = DelayCase(case), float(minutes)
+    if case not in {c.value for c in DelayCase}:
+        raise ValueError(f"unknown observation case {case!r}")
+    try:
+        minutes = float(minutes)
+    except ValueError:
+        raise ValueError(f"observation minutes must be a number, got {spec!r}") from None
     if not math.isfinite(minutes):
         raise ValueError(f"observation minutes must be finite, got {spec!r}")
-    return scheme, case, minutes
+    return scheme, DelayCase(case), minutes
 
 
 def cmd_calibrate(args, scenario) -> Emission:
     specs = args.observation or ["edge:best:9.872", "baseline:worst:247.467"]
     # Placement ignores link rates, so each load table holds for the calibrated rates too.
-    locations = scenario.locations
-    tables = {"edge": (SCHEME_EDGE, plan_loads(_report(args, scenario).plan, locations)),
-              "femtocache": (SCHEME_FEMTO, plan_loads(femtocache_plan(scenario), locations)),
-              "baseline": (SCHEME_BASELINE,
-                           baseline_loads(scenario.demand, scenario.records, locations))}
+    plan = _report(args, scenario).plan
+    tables = {name: (label, scheme_loads(scenario, plan_of(scenario, plan)))
+              for name, (label, plan_of) in SCHEMES.items()}
     rates = calibrate_rates(load_observation(tables[scheme][1], case, minutes)
                             for scheme, case, minutes in map(_parse_observation, specs))
     schemes = sorted((label, delay_report(label, loads, rates)) for label, loads in tables.values())
@@ -313,7 +302,7 @@ _MODE = [
 COMMANDS = {
     "allocate": (cmd_allocate, "optimize the per-device cached subsets", "table", True, []),
     "delay": (cmd_delay, "expected-delay report for one scheme", "table", True, [
-        ("--scheme", dict(choices=SCHEME_NAMES, default="edge")),
+        ("--scheme", dict(choices=tuple(SCHEMES), default="edge")),
         ("--case", dict(choices=[c.value for c in DelayCase])),
         ("--monte-carlo", dict(action="store_true", help="add a seeded sampling estimate")),
         ("--samples", dict(type=int, default=1_000_000)),

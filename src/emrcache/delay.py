@@ -25,6 +25,12 @@ MAX_SAMPLES = 2**63 - 1
 
 # Report labels: edge caching with event-camera video, conventional edge caching, none.
 SCHEME_EDGE, SCHEME_FEMTO, SCHEME_BASELINE = "edge_dvs", "femtocache", "baseline"
+# Each scheme once, in `compare`'s order: --scheme name -> (label, plan of (scenario, run plan)).
+SCHEMES = {
+    "edge": (SCHEME_EDGE, lambda scenario, plan: plan),
+    "femtocache": (SCHEME_FEMTO, lambda scenario, plan: femtocache_plan(scenario)),
+    "baseline": (SCHEME_BASELINE, lambda scenario, plan: None),
+}
 
 
 @value_class
@@ -116,6 +122,12 @@ def baseline_loads(demand: DemandProfile, records: RecordSet, locations) -> tupl
     return tuple((loc, 0.0, sizes[demand.for_location(loc.name)][0], full) for loc in locations)
 
 
+def scheme_loads(scenario, plan) -> tuple:
+    """Load table of a scheme's plan on `scenario`; the no-edge scheme's plan is None."""
+    return (plan_loads(plan, scenario.locations) if plan is not None
+            else baseline_loads(scenario.demand, scenario.records, scenario.locations))
+
+
 def _case_minutes(loads, rates: LinkRates, macro: int) -> list:
     """Each row's unweighted minutes in one case, as `transfer_minutes` times its edge GB
     over the edge link plus its column `macro` (2 best, 3 worst: a column, since each
@@ -143,10 +155,9 @@ def delay_report(scheme: str, loads, rates: LinkRates) -> DelayReport:
     return DelayReport(scheme, best, worst, tuple(terms))
 
 
-def expected_delay(plan: AllocationPlan, locations, rates: LinkRates,
-                   scheme: str = SCHEME_EDGE) -> DelayReport:
-    """Dwell-weighted delay report for an allocation plan."""
-    return delay_report(scheme, plan_loads(plan, locations), rates)
+def expected_delay(plan: AllocationPlan, locations, rates: LinkRates) -> DelayReport:
+    """Dwell-weighted delay report of the edge-cached scheme under `plan`."""
+    return delay_report(SCHEME_EDGE, plan_loads(plan, locations), rates)
 
 
 def femtocache_plan(scenario) -> AllocationPlan:
@@ -157,8 +168,8 @@ def femtocache_plan(scenario) -> AllocationPlan:
 
 def femtocache_delay(scenario) -> DelayReport:
     """Delay report for edge caching of conventional recordings (no event camera)."""
-    return expected_delay(femtocache_plan(scenario), scenario.locations, scenario.rates,
-                          scheme=SCHEME_FEMTO)
+    return delay_report(SCHEME_FEMTO, plan_loads(femtocache_plan(scenario), scenario.locations),
+                        scenario.rates)
 
 
 def baseline_delay(demand: DemandProfile, records: RecordSet, locations,
@@ -279,10 +290,9 @@ def monte_carlo_delay(plan: AllocationPlan, config: MonteCarloConfig, locations,
     # `multinomial` hands the last category whatever probability rounding
     # leaves over, so zero-probability locations stay out of the draw.
     minutes = _case_minutes(loads, rates, 2 if case is DelayCase.BEST else 3)
-    drawn = [(row[0].probability, t) for row, t in zip(loads, minutes) if row[0].probability > 0]
-    total = math.fsum(p for p, _ in drawn)
-    pvals = [p / total for p, _ in drawn]
-    terms = [t for _, t in drawn]
+    probs, terms = zip(*[(row[0].probability, t) for row, t in zip(loads, minutes)
+                         if row[0].probability > 0])
+    pvals = np.array(probs) / math.fsum(probs)  # one array, not a list converted per draw
     n, parts = config.samples, config.partitions
     base, extra = divmod(n, parts)
     rng = np.random.default_rng(config.seed)

@@ -392,6 +392,9 @@ def test_calibrate_rejects_a_rate_fitted_to_rounding_noise(capsys, best, worst, 
      "observation must be scheme:case:minutes, got 'edge:best'"),
     (["calibrate", "--observation", "sat:best:1", "--observation", "baseline:worst:1"], {},
      "unknown observation scheme 'sat'"),
+    (["calibrate", "--observation", "edge:BEST:9.872"], {}, "unknown observation case 'BEST'"),
+    (["calibrate", "--observation", "edge:best:0x10"], {},
+     "observation minutes must be a number, got 'edge:best:0x10'"),
     (["share", "--scenario", "s.json"], {"s.json": "[]"},
      "scenario document must be a JSON object"),
     (["allocate", "--scenario", "s.json"],
@@ -406,8 +409,8 @@ def test_calibrate_rejects_a_rate_fitted_to_rounding_noise(capsys, best, worst, 
      "timeline row needs duration and level: ['10']"),
     (["dvs-size", "--timeline", "t.csv"], {"t.csv": "duration_seconds,level\n10,walk\n"},
      "unknown motion level: 'walk'"),
-], ids=["observation-fields", "observation-scheme", "document-list", "device-location",
-        "dwell-missing", "timeline-row", "timeline-level"])
+], ids=["observation-fields", "observation-scheme", "observation-case", "observation-minutes",
+        "document-list", "device-location", "dwell-missing", "timeline-row", "timeline-level"])
 def test_malformed_input_exits_2_with_only_its_message(tmp_path, monkeypatch, capsys, argv,
                                                       files, message):
     monkeypatch.chdir(tmp_path)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from emrcache.cli import main
-from emrcache.delay import DemandProfile, LinkRates
+from emrcache.delay import SCHEMES, DemandProfile, LinkRates
 from emrcache.placement import LocationProfile
 from emrcache.records import ALL_CLASSES, CLASS_ORDER, FileClass, RecordSet, replace, subset_label
 from emrcache.scenario import (
@@ -614,6 +614,33 @@ def test_every_subcommand_runs_on_every_valid_scenario(document):
                 for column, name in enumerate(header):
                     if name not in _NAME_COLUMNS:
                         assert all(math.isfinite(float(row[column])) for row in rows), (argv, name)
+
+
+_MODES = ([], ["--mode", "omission"], ["--mode", "paper"], ["--mode", "min-combo"],
+          ["--mode", "custom", "--weights", "0.5,2,3"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_valid_documents(), st.sampled_from(_MODES))
+@example({}, [])
+@example({}, ["--mode", "omission"])
+def test_delay_of_each_scheme_is_its_compare_entry(document, mode):
+    """`delay --scheme <name>` and `compare` read one scheme table: each scheme's report
+    is its `compare` entry, bit for bit, or both commands fail with one message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(document, fh)
+        common = ["--scenario", path, "--format", "json"] + mode
+        code, out, err = _run_cli(["compare"] + common)
+        for name, (label, _) in SCHEMES.items():
+            delay = _run_cli(["delay", "--scheme", name] + common)
+            if code != 0:
+                assert delay == (code, "", err), name
+                continue
+            assert delay[0] == 0, (name, delay[2])
+            report = json.dumps(json.loads(delay[1])["report"], sort_keys=True)
+            assert report == json.dumps(json.loads(out)["schemes"][label], sort_keys=True)
 
 
 @pytest.mark.parametrize("document,field", [
